@@ -18,7 +18,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/fleet"
 	"repro/internal/mitigate"
 	"repro/internal/selfcheck"
 	"repro/internal/taskrun"
@@ -87,35 +86,6 @@ func BenchmarkE13Blast(b *testing.B) { runExperiment(b, "E13") }
 
 // BenchmarkE14SKUs measures per-SKU incidence in a heterogeneous fleet.
 func BenchmarkE14SKUs(b *testing.B) { runExperiment(b, "E14") }
-
-// --- Fleet parallelism benchmarks ----------------------------------------
-
-// benchFleetRun drives the same 45-day fleet quarter at a fixed worker
-// count. Serial vs parallel outputs are bit-identical (the determinism
-// regression test in internal/metrics enforces it); these benchmarks
-// measure only the wall-clock effect of sharding each simulated day.
-func benchFleetRun(b *testing.B, parallelism int) {
-	b.Helper()
-	cfg := fleet.DefaultConfig()
-	cfg.Machines = 400
-	cfg.CoresPerMachine = 16
-	cfg.DefectsPerMachine = 0.05
-	cfg.Seed = 7
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := fleet.NewRunner(cfg, fleet.WithParallelism(parallelism))
-		if err != nil {
-			b.Fatal(err)
-		}
-		r.Run(45)
-	}
-}
-
-// BenchmarkFleetRunSerial is the single-worker reference path.
-func BenchmarkFleetRunSerial(b *testing.B) { benchFleetRun(b, 1) }
-
-// BenchmarkFleetRunParallel shards each day across GOMAXPROCS workers.
-func BenchmarkFleetRunParallel(b *testing.B) { benchFleetRun(b, 0) }
 
 // --- Ablation benchmarks (DESIGN.md §5) ----------------------------------
 

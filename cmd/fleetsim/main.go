@@ -6,6 +6,7 @@
 //	fleetsim experiments -experiment F1        # the paper's experiment registry
 //	fleetsim experiments -experiment all -scale full
 //	fleetsim experiments -trace t.jsonl -days 90
+//	fleetsim chaos -quick                      # fault-inject the control plane
 //
 // A scenario file (see scenarios/ and DESIGN.md §10) declares the fleet,
 // a timeline of events (defect injection, drains, operating-point
@@ -16,6 +17,9 @@
 //
 // For compatibility, invoking fleetsim with a leading flag instead of a
 // subcommand ("fleetsim -experiment E5") is routed to experiments.
+//
+// fleetsim measures no performance; the repository's one benchmark is
+// 'bash bench/run.sh' (bench/README.md).
 package main
 
 import (
@@ -39,14 +43,13 @@ Commands:
   run <scenario.yaml>      run one scenario and check its assertions
   validate <file>...       parse and schema-check scenario files
   experiments [flags]      run the paper's experiment registry (legacy flags)
-  bench [flags]            benchmark the day loop, append BENCH_fleetsim.json
-  kvbench [flags]          load-test tolerant kv serving, append BENCH_kvdb.json
   chaos [-quick]           fault-inject the control plane, check its invariants
   help                     show this message
 
 Run 'fleetsim <command> -h' for the command's flags. Invoking fleetsim
 with flags and no command ('fleetsim -experiment F1') is routed to
-'experiments' for backwards compatibility.
+'experiments' for backwards compatibility. Performance is measured by
+'bash bench/run.sh' (see bench/README.md), not by fleetsim.
 `)
 }
 
@@ -67,10 +70,6 @@ func main() {
 		os.Exit(cmdValidate(args[1:]))
 	case "experiments":
 		os.Exit(cmdExperiments(args[1:]))
-	case "bench":
-		os.Exit(cmdBench(args[1:]))
-	case "kvbench":
-		os.Exit(cmdKVBench(args[1:]))
 	case "chaos":
 		os.Exit(cmdChaos(args[1:]))
 	case "help", "-h", "--help":

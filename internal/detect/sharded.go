@@ -11,8 +11,9 @@ package detect
 // batched floods across shards instead of serializing on one lock.
 
 import (
-	"hash/fnv"
 	"sync"
+
+	"repro/internal/keyhash"
 )
 
 // DefaultTrackerShards is the shard count NewShardedTracker uses when the
@@ -47,12 +48,10 @@ func NewShardedTracker(coresPerMachine, n int) *ShardedTracker {
 	return s
 }
 
-// shardFor hashes a machine id onto its shard. FNV-1a matches the repo's
-// other string-hash choices and spreads dense "mNNNNN" ids well.
+// shardFor hashes a machine id onto its shard with the shared key-hash
+// sharder (the one kvdb partitions rows by), allocation-free per signal.
 func (s *ShardedTracker) shardFor(machine string) *trackerShard {
-	h := fnv.New32a()
-	h.Write([]byte(machine))
-	return &s.shards[h.Sum32()%uint32(len(s.shards))]
+	return &s.shards[keyhash.Shard(machine, len(s.shards))]
 }
 
 // Shards returns the shard count.

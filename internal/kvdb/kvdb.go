@@ -15,10 +15,11 @@
 // value payloads; the index fingerprints are the unprotected metadata path
 // that produces the replica-dependent incident.
 //
-// Storage is partitioned StorageShards ways by FNV-1a of the row key. DB
-// itself is still a single-goroutine API; the partitioning exists so the
-// concurrent serving layer (TolerantDB) can guard each partition with its
-// own lock — shard s of every replica is owned by shard lock s.
+// Storage is partitioned StorageShards ways by keyhash.Shard (FNV-1a) of
+// the row key. DB itself is still a single-goroutine API; the partitioning
+// exists so the concurrent serving layer (TolerantDB) can guard each
+// partition with its own lock — shard s of every replica is owned by
+// shard lock s.
 package kvdb
 
 import (
@@ -30,6 +31,7 @@ import (
 
 	"repro/internal/ecc"
 	"repro/internal/engine"
+	"repro/internal/keyhash"
 )
 
 // Errors returned by the database.
@@ -45,16 +47,9 @@ var (
 // serving goroutines without fragmenting memory.
 const StorageShards = 16
 
-// shardIndex maps a row key onto its storage partition. FNV-1a matches the
-// repo's other string-hash choices and spreads short "rowNNNN" keys well.
-func shardIndex(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % StorageShards)
-}
+// shardIndex maps a row key onto its storage partition through the
+// shared key-hash sharder, which inlines to a mask here.
+func shardIndex(key string) int { return keyhash.Shard(key, StorageShards) }
 
 // record is one replicated row.
 type record struct {

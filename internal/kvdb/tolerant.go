@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/detect"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -246,11 +247,6 @@ type TolerantConfig struct {
 	// SignalsShed). Callers using a queue should Close (or Flush) the
 	// store when done.
 	SignalQueue int
-	// SingleLock serializes every operation — including retry backoff
-	// sleeps — on one exclusive lock, reproducing the historical
-	// single-mutex TolerantDB. It exists as the benchmarking baseline for
-	// the sharded design (fleetsim kvbench) and has no other use.
-	SingleLock bool
 	// sleep is a test seam for backoff; nil means time.Sleep.
 	sleep func(time.Duration)
 }
@@ -312,7 +308,6 @@ type TolerantDB struct {
 	db  *DB
 	cfg TolerantConfig
 	// shards[i] guards partition i of every replica (shardIndex(key)).
-	// In SingleLock mode only shards[0] is used, exclusively.
 	shards [StorageShards]tshard
 	// cursor is the round-robin replica cursor, kept in [0, replicas).
 	// Out-of-range values (tests pre-seed overflow) are renormalized on
@@ -409,12 +404,8 @@ func (t *TolerantDB) RowSuspect(key string) bool {
 	return v
 }
 
-// shardFor returns the lock shard guarding key's partition (always
-// shards[0] in SingleLock mode, where suspect marks also live).
+// shardFor returns the lock shard guarding key's partition.
 func (t *TolerantDB) shardFor(key string) *tshard {
-	if t.cfg.SingleLock {
-		return &t.shards[0]
-	}
 	return &t.shards[shardIndex(key)]
 }
 
@@ -449,10 +440,6 @@ func (t *TolerantDB) Get(key string) ([]byte, error) {
 // attempts, retries, disposition, total backoff — so load generators can
 // segment latency by outcome.
 func (t *TolerantDB) GetTraced(key string) ([]byte, ReadInfo, error) {
-	if t.cfg.SingleLock {
-		t.shards[0].mu.Lock()
-		defer t.shards[0].mu.Unlock()
-	}
 	t.statsMu.Lock()
 	t.stats.Reads++
 	t.db.Stats.Reads++
@@ -467,14 +454,12 @@ func (t *TolerantDB) GetTraced(key string) ([]byte, ReadInfo, error) {
 
 // get runs the mitigation ladder. Shard read locks are held only across
 // individual replica reads — never across backoff sleeps or signal
-// delivery. In SingleLock mode the caller already holds the global lock
-// and no shard locking happens here.
+// delivery.
 func (t *TolerantDB) get(key string, info *ReadInfo) ([]byte, error) {
 	n := len(t.db.replicas)
 	tried := make([]bool, n)
 	hm := healthMemo{t: t}
 	sh := t.shardFor(key)
-	locked := t.cfg.SingleLock
 	if t.cfg.DualRead && n >= 2 {
 		ia := t.pickReplica(tried, &hm)
 		tried[ia] = true
@@ -482,14 +467,10 @@ func (t *TolerantDB) get(key string, info *ReadInfo) ([]byte, error) {
 		tried[ib] = true
 		info.Attempts = 2
 		a, b := t.db.replicas[ia], t.db.replicas[ib]
-		if !locked {
-			sh.mu.RLock()
-		}
+		sh.mu.RLock()
 		va, errA := a.get(key)
 		vb, errB := b.get(key)
-		if !locked {
-			sh.mu.RUnlock()
-		}
+		sh.mu.RUnlock()
 		switch {
 		case errA == nil && errB == nil && bytes.Equal(va, vb):
 			info.Result = "ok"
@@ -541,13 +522,9 @@ func (t *TolerantDB) get(key string, info *ReadInfo) ([]byte, error) {
 		tried[ri] = true
 		info.Attempts++
 		r := t.db.replicas[ri]
-		if !locked {
-			sh.mu.RLock()
-		}
+		sh.mu.RLock()
 		v, rerr := r.get(key)
-		if !locked {
-			sh.mu.RUnlock()
-		}
+		sh.mu.RUnlock()
 		if rerr == nil {
 			if info.Attempts > 1 {
 				t.statsMu.Lock()
@@ -584,10 +561,7 @@ func (t *TolerantDB) get(key string, info *ReadInfo) ([]byte, error) {
 // repair scan is reported per replica after the lock is released, in the
 // same deterministic order as the scan.
 func (t *TolerantDB) repairServe(key string, sh *tshard, info *ReadInfo) ([]byte, error) {
-	locked := t.cfg.SingleLock
-	if !locked {
-		sh.mu.Lock()
-	}
+	sh.mu.Lock()
 	winner, sc, repaired, err := t.db.readRepair(key)
 	best := 0
 	if errors.Is(err, ErrDivergent) && len(sc.votes) > 0 {
@@ -601,9 +575,7 @@ func (t *TolerantDB) repairServe(key string, sh *tshard, info *ReadInfo) ([]byte
 		}
 		sh.suspect[key] = true
 	}
-	if !locked {
-		sh.mu.Unlock()
-	}
+	sh.mu.Unlock()
 
 	// Account the scan and the repair writes (scanRow/readRepair are
 	// stats-free so they can run under any caller's locking discipline).
@@ -719,20 +691,12 @@ func (t *TolerantDB) QueryByValue(value []byte) []string {
 }
 
 func (t *TolerantDB) lockAllRead() {
-	if t.cfg.SingleLock {
-		t.shards[0].mu.Lock()
-		return
-	}
 	for i := range t.shards {
 		t.shards[i].mu.RLock()
 	}
 }
 
 func (t *TolerantDB) unlockAllRead() {
-	if t.cfg.SingleLock {
-		t.shards[0].mu.Unlock()
-		return
-	}
 	for i := range t.shards {
 		t.shards[i].mu.RUnlock()
 	}
@@ -802,7 +766,7 @@ func (t *TolerantDB) pickReplica(tried []bool, hm *healthMemo) int {
 // synchronously in order (SignalQueue == 0) or via the bounded async
 // queue. Replicas without a fleet slot report under their replica ID with
 // core -1 (machine-level attribution). Never called with a shard lock
-// held in sharded mode.
+// held.
 func (t *TolerantDB) emit(r *Replica, detail string) {
 	machine := r.Machine
 	if machine == "" {
@@ -871,36 +835,18 @@ func (t *TolerantDB) deliver(sigs []detect.Signal) {
 }
 
 // backoffDelay computes the delay before retry number retry (0-based):
-// RetryBackoff doubled per retry, capped at MaxBackoff. Doubling is
-// stepwise with an overflow guard — a shift by the raw retry count
-// overflows time.Duration (a signed 64-bit int) past retry ~30 for
-// millisecond bases — so pathological retry counts saturate at the cap
-// instead of going negative and skipping the sleep entirely.
+// RetryBackoff doubled per retry, capped at MaxBackoff (default
+// 8×RetryBackoff).
 func (t *TolerantDB) backoffDelay(retry int) time.Duration {
-	d := t.cfg.RetryBackoff
-	if d <= 0 {
-		return 0
-	}
 	max := t.cfg.MaxBackoff
 	if max <= 0 {
 		max = 8 * t.cfg.RetryBackoff
 	}
-	for i := 0; i < retry && d < max; i++ {
-		d <<= 1
-		if d <= 0 { // overflowed
-			return max
-		}
-	}
-	if d > max {
-		d = max
-	}
-	return d
+	return backoff.Delay(t.cfg.RetryBackoff, max, retry)
 }
 
-// backoff sleeps before retry number retry (0-based), holding no lock (in
-// SingleLock baseline mode the caller's global lock is deliberately held —
-// that stall is what the baseline measures). No-op when RetryBackoff is
-// zero.
+// backoff sleeps before retry number retry (0-based), holding no lock.
+// No-op when RetryBackoff is zero.
 func (t *TolerantDB) backoff(retry int, info *ReadInfo) {
 	d := t.backoffDelay(retry)
 	if d == 0 {

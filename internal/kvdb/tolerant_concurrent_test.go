@@ -446,45 +446,3 @@ func TestAsyncQueuePrefersBatchSink(t *testing.T) {
 		t.Fatalf("batched delivery = %v (batches %v), want %v", flat, batches, want)
 	}
 }
-
-// TestSingleLockBaselineServes sanity-checks the benchmarking baseline
-// mode: full mitigation ladder, same client-visible behavior, one global
-// lock.
-func TestSingleLockBaselineServes(t *testing.T) {
-	bad := stuckBitReplica("bad", 1).Locate("m0", 2)
-	db, _ := New(bad, healthyReplica("g1", 2).Locate("m1", 0), healthyReplica("g2", 3).Locate("m2", 0))
-	var cs collectSink
-	tdb := NewTolerant(db, TolerantConfig{Sink: cs.sink, SingleLock: true})
-	val := bit3Payload()
-	for i := 0; i < 4; i++ {
-		tdb.Put(fmt.Sprintf("k%d", i), val)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				key := fmt.Sprintf("k%d", (w+i)%4)
-				switch i % 4 {
-				case 0:
-					tdb.Put(key, val)
-				case 1:
-					tdb.QueryByValue(val)
-				default:
-					if v, err := tdb.Get(key); err != nil || !bytes.Equal(v, val) {
-						t.Errorf("get %s: %v", key, err)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := tdb.Stats()
-	if st.Errors != 0 || st.Reads == 0 || st.Writes == 0 {
-		t.Fatalf("baseline stats: %+v", st)
-	}
-	if st.SignalsSent != len(cs.all()) {
-		t.Fatalf("SignalsSent = %d, sink saw %d", st.SignalsSent, len(cs.all()))
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/chaos"
 	"repro/internal/lifecycle"
 )
@@ -223,20 +224,20 @@ func TestReadyzDegradedOnSaturatedQueue(t *testing.T) {
 	}
 }
 
-// TestBackoffDelayNoOverflow is the regression test for the retry-delay
-// shift overflow: `backoff << attempt` went negative past 63 bits, turning
-// the wait into zero and the retry loop into a hot spin.
+// TestBackoffDelayNoOverflow pins the client's retry schedule at its
+// defaults (50ms doubling, clamped at 30s) and is the regression test for
+// the retry-delay shift overflow: `backoff << attempt` went negative past
+// 63 bits, turning the wait into zero and the retry loop into a hot spin.
 func TestBackoffDelayNoOverflow(t *testing.T) {
-	base := 50 * time.Millisecond
-	max := 5 * time.Second
-	if d := backoffDelay(base, max, 0); d != base {
-		t.Fatalf("retry 0: %v, want base", d)
+	base, max := defaultRetryBackoff, maxRetryBackoff
+	if d := backoff.Delay(base, max, 0); d != 50*time.Millisecond {
+		t.Fatalf("retry 0: %v, want 50ms", d)
 	}
-	if d := backoffDelay(base, max, 3); d != 400*time.Millisecond {
+	if d := backoff.Delay(base, max, 3); d != 400*time.Millisecond {
 		t.Fatalf("retry 3: %v, want 400ms", d)
 	}
-	for _, retry := range []int{7, 62, 63, 64, 200, 1 << 30} {
-		d := backoffDelay(base, max, retry)
+	for _, retry := range []int{10, 62, 63, 64, 200, 1 << 30} {
+		d := backoff.Delay(base, max, retry)
 		if d != max {
 			t.Fatalf("retry %d: %v, want clamp at %v", retry, d, max)
 		}

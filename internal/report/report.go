@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/detect"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
@@ -532,24 +533,6 @@ func (c *Client) wait(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// backoffDelay returns base doubled once per completed retry, clamped at
-// max. The doubling is stepwise with an overflow check — the old
-// `backoff << (attempt-1)` overflowed time.Duration (going negative, i.e.
-// no wait at all) once a large MaxAttempts pushed the shift past 63 bits.
-func backoffDelay(base, max time.Duration, retry int) time.Duration {
-	d := base
-	for i := 0; i < retry && d < max; i++ {
-		d <<= 1
-		if d <= 0 { // overflowed
-			return max
-		}
-	}
-	if d > max {
-		d = max
-	}
-	return d
-}
-
 // retryableStatus reports whether status is explicit server backpressure
 // worth retrying (the request may not have been acted on).
 func retryableStatus(status int) bool {
@@ -583,9 +566,9 @@ func (c *Client) do(ctx context.Context, send func(context.Context) (*http.Respo
 	if attempts <= 0 {
 		attempts = defaultMaxAttempts
 	}
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
+	base := c.RetryBackoff
+	if base <= 0 {
+		base = defaultRetryBackoff
 	}
 	var (
 		lastErr    error
@@ -593,7 +576,7 @@ func (c *Client) do(ctx context.Context, send func(context.Context) (*http.Respo
 	)
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			d := backoffDelay(backoff, maxRetryBackoff, attempt-1)
+			d := backoff.Delay(base, maxRetryBackoff, attempt-1)
 			// Full jitter on the top half de-synchronizes a fleet of
 			// reporters hammering a recovering server.
 			d = d/2 + c.jitterDelay(d/2)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -319,6 +320,44 @@ func TestTaskRunBackoffSeam(t *testing.T) {
 		if slept[i] != want[i] {
 			t.Fatalf("backoff %d = %v, want %v (sequence %v)", i, slept[i], want[i], slept)
 		}
+	}
+}
+
+// TestTaskRunBackoffNoOverflow is the regression test for the doubling
+// overflow: with a 1ns base and no effective cap, the 64th retry's delay
+// used to wrap negative and the retry ran without waiting. Every delay must
+// stay positive and non-decreasing, saturating at MaxBackoff.
+func TestTaskRunBackoffNoOverflow(t *testing.T) {
+	bad := fault.NewCore("solo", xrand.New(3), aluFlip)
+	cluster, provider, err := NewPool("m0", []*fault.Core{bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slept []time.Duration
+	sup, err := NewSupervisor(cluster, provider, Config{
+		MaxRetries:   70,
+		RetryBackoff: time.Nanosecond,
+		MaxBackoff:   math.MaxInt64,
+		sleep:        func(d time.Duration) { slept = append(slept, d) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sup.Run(&Task{ID: "doomed", Granules: []Granule{CorpusGranule(corpus.NewArith(64))}},
+		xrand.New(1))
+	if !errors.Is(err, ErrGranuleFailed) {
+		t.Fatalf("err = %v, want ErrGranuleFailed", err)
+	}
+	if len(slept) != 70 {
+		t.Fatalf("slept %d times, want 70", len(slept))
+	}
+	for i, d := range slept {
+		if d <= 0 || (i > 0 && d < slept[i-1]) {
+			t.Fatalf("backoff %d = %v: overflowed (sequence %v)", i, d, slept)
+		}
+	}
+	if got := slept[len(slept)-1]; got != math.MaxInt64 {
+		t.Fatalf("last backoff = %v, want clamp at MaxBackoff", got)
 	}
 }
 
