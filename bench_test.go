@@ -1,91 +1,25 @@
-// Package repro's root benchmarks regenerate every figure and experiment
-// table of "Cores that don't count" (HotOS '21). One benchmark per
-// experiment id: the benchmark body runs the experiment driver and, on the
-// first iteration, prints its table (run with -v to see them inline; the
-// canonical outputs live in EXPERIMENTS.md).
+// Package repro's root benchmarks measure what DESIGN.md §5's ablations
+// and §7's runtime cost: the fault-model engine against native execution,
+// protection granularity (per-call verification against task-level
+// DMR/TMR), each screening-corpus workload on a healthy core, and the
+// taskrun checkpoint overhead. The experiment tables are pinned by
+// TestExperimentsGolden in internal/experiments, not benchmarked here.
 //
-// Recommended invocation (one iteration per experiment):
-//
-//	go test -bench=. -benchmem -benchtime=1x
+//	go test -run '^$' -bench . -benchmem
 package repro
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/mitigate"
 	"repro/internal/selfcheck"
 	"repro/internal/taskrun"
 	"repro/internal/xrand"
 )
-
-// printOnce ensures each experiment table is printed a single time even if
-// the benchmark harness runs multiple iterations.
-var printOnce sync.Map
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	run, ok := experiments.Registry[id]
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		table := run(experiments.Small)
-		if _, dup := printOnce.LoadOrStore(id, true); !dup {
-			b.Logf("\n%s", table)
-		}
-	}
-}
-
-// BenchmarkF1Fleet regenerates Fig. 1 (user vs automated CEE report rates).
-func BenchmarkF1Fleet(b *testing.B) { runExperiment(b, "F1") }
-
-// BenchmarkE1Incidence measures fleet incidence of mercurial cores.
-func BenchmarkE1Incidence(b *testing.B) { runExperiment(b, "E1") }
-
-// BenchmarkE2Outcomes measures the §2 outcome-class distribution.
-func BenchmarkE2Outcomes(b *testing.B) { runExperiment(b, "E2") }
-
-// BenchmarkE3Sweep measures corruption-rate spread and f/V/T sensitivity.
-func BenchmarkE3Sweep(b *testing.B) { runExperiment(b, "E3") }
-
-// BenchmarkE4Screening measures the screening budget/detection trade-off.
-func BenchmarkE4Screening(b *testing.B) { runExperiment(b, "E4") }
-
-// BenchmarkE5Triage measures the human-triage confirmation rate.
-func BenchmarkE5Triage(b *testing.B) { runExperiment(b, "E5") }
-
-// BenchmarkE6Isolation compares isolation modes' stranded capacity.
-func BenchmarkE6Isolation(b *testing.B) { runExperiment(b, "E6") }
-
-// BenchmarkE7Mitigation measures mitigation cost vs efficacy.
-func BenchmarkE7Mitigation(b *testing.B) { runExperiment(b, "E7") }
-
-// BenchmarkE8Amortize measures integrity-check amortization.
-func BenchmarkE8Amortize(b *testing.B) { runExperiment(b, "E8") }
-
-// BenchmarkE9Checkers measures Blum–Kannan checker cost and efficacy.
-func BenchmarkE9Checkers(b *testing.B) { runExperiment(b, "E9") }
-
-// BenchmarkE10Incidents replays the §2 incident reproductions.
-func BenchmarkE10Incidents(b *testing.B) { runExperiment(b, "E10") }
-
-// BenchmarkE11Aging measures the age-until-onset distribution.
-func BenchmarkE11Aging(b *testing.B) { runExperiment(b, "E11") }
-
-// BenchmarkE12Coverage measures detected fraction vs corpus coverage.
-func BenchmarkE12Coverage(b *testing.B) { runExperiment(b, "E12") }
-
-// BenchmarkE13Blast measures corruption stickiness / blast radius.
-func BenchmarkE13Blast(b *testing.B) { runExperiment(b, "E13") }
-
-// BenchmarkE14SKUs measures per-SKU incidence in a heterogeneous fleet.
-func BenchmarkE14SKUs(b *testing.B) { runExperiment(b, "E14") }
 
 // --- Ablation benchmarks (DESIGN.md §5) ----------------------------------
 

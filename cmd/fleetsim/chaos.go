@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -40,11 +41,12 @@ type chaosScale struct {
 	events   int // webhook-storm notifications
 }
 
-func cmdChaos(args []string) int {
+func cmdChaos(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetsim chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "smaller storms (the CI smoke setting)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: fleetsim chaos [-quick]")
+		fmt.Fprintln(stderr, "usage: fleetsim chaos [-quick]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -61,7 +63,7 @@ func cmdChaos(args []string) int {
 
 	dir, err := os.MkdirTemp("", "fleetsim-chaos-")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		fmt.Fprintf(stderr, "chaos: %v\n", err)
 		return 1
 	}
 	defer os.RemoveAll(dir)
@@ -78,12 +80,12 @@ func cmdChaos(args []string) int {
 	for _, st := range storms {
 		summary, err := st.run(dir, sc)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: FAIL: %s: %v\n", st.name, err)
+			fmt.Fprintf(stderr, "chaos: FAIL: %s: %v\n", st.name, err)
 			return 1
 		}
-		fmt.Printf("chaos: %s: %s\n", st.name, summary)
+		fmt.Fprintf(stdout, "chaos: %s: %s\n", st.name, summary)
 	}
-	fmt.Println("chaos: all invariants held")
+	fmt.Fprintln(stdout, "chaos: all invariants held")
 	return 0
 }
 

@@ -5,7 +5,6 @@
 //	fleetsim validate scenarios/*.yaml         # schema-check without running
 //	fleetsim experiments -experiment F1        # the paper's experiment registry
 //	fleetsim experiments -experiment all -scale full
-//	fleetsim experiments -trace t.jsonl -days 90
 //	fleetsim chaos -quick                      # fault-inject the control plane
 //
 // A scenario file (see scenarios/ and DESIGN.md §10) declares the fleet,
@@ -15,8 +14,8 @@
 // scenario corpus a regression suite. Every run is bit-identical at any
 // -parallelism.
 //
-// For compatibility, invoking fleetsim with a leading flag instead of a
-// subcommand ("fleetsim -experiment E5") is routed to experiments.
+// Exit codes: 0 success, 1 a failed run, assertion or file, 2 a usage
+// error.
 //
 // fleetsim measures no performance; the repository's one benchmark is
 // 'bash bench/run.sh' (bench/README.md).
@@ -30,7 +29,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -42,43 +40,41 @@ func usage(w io.Writer) {
 Commands:
   run <scenario.yaml>      run one scenario and check its assertions
   validate <file>...       parse and schema-check scenario files
-  experiments [flags]      run the paper's experiment registry (legacy flags)
+  experiments [flags]      print the paper's experiment tables
   chaos [-quick]           fault-inject the control plane, check its invariants
   help                     show this message
 
-Run 'fleetsim <command> -h' for the command's flags. Invoking fleetsim
-with flags and no command ('fleetsim -experiment F1') is routed to
-'experiments' for backwards compatibility. Performance is measured by
-'bash bench/run.sh' (see bench/README.md), not by fleetsim.
+Run 'fleetsim <command> -h' for the command's flags. Performance is
+measured by 'bash bench/run.sh' (see bench/README.md), not by fleetsim.
 `)
 }
 
 func main() {
-	args := os.Args[1:]
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one fleetsim invocation and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-	// Legacy compatibility: a flag pile with no subcommand is the old CLI.
-	if strings.HasPrefix(args[0], "-") && args[0] != "-h" && args[0] != "--help" {
-		os.Exit(cmdExperiments(args))
+		usage(stderr)
+		return 2
 	}
 	switch args[0] {
 	case "run":
-		os.Exit(cmdRun(args[1:]))
+		return cmdRun(args[1:], stdout, stderr)
 	case "validate":
-		os.Exit(cmdValidate(args[1:]))
+		return cmdValidate(args[1:], stdout, stderr)
 	case "experiments":
-		os.Exit(cmdExperiments(args[1:]))
+		return cmdExperiments(args[1:], stdout, stderr)
 	case "chaos":
-		os.Exit(cmdChaos(args[1:]))
+		return cmdChaos(args[1:], stdout, stderr)
 	case "help", "-h", "--help":
-		usage(os.Stdout)
-		os.Exit(0)
+		usage(stdout)
+		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "fleetsim: unknown command %q\n\n", args[0])
-		usage(os.Stderr)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fleetsim: unknown command %q\n\n", args[0])
+		usage(stderr)
+		return 2
 	}
 }
 
@@ -118,7 +114,7 @@ func openOutputs(tracePath, metricsPath string) (*outputs, error) {
 }
 
 // write dumps the collected artifacts and closes the files.
-func (o *outputs) write(tr *obs.Trace, reg *obs.Registry, tracePath, metricsPath string) error {
+func (o *outputs) write(stdout io.Writer, tr *obs.Trace, reg *obs.Registry, tracePath, metricsPath string) error {
 	if o.traceFile != nil {
 		if err := tr.WriteJSONL(o.traceFile); err != nil {
 			o.traceFile.Close()
@@ -127,10 +123,10 @@ func (o *outputs) write(tr *obs.Trace, reg *obs.Registry, tracePath, metricsPath
 		if err := o.traceFile.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d events -> %s\n", tr.Len(), tracePath)
+		fmt.Fprintf(stdout, "trace: %d events -> %s\n", tr.Len(), tracePath)
 	}
 	if o.metricsWanted {
-		out := os.Stdout
+		out := stdout
 		if o.metricsFile != nil {
 			out = o.metricsFile
 			defer o.metricsFile.Close()
@@ -139,7 +135,7 @@ func (o *outputs) write(tr *obs.Trace, reg *obs.Registry, tracePath, metricsPath
 			return err
 		}
 		if o.metricsFile != nil {
-			fmt.Printf("metrics: -> %s\n", metricsPath)
+			fmt.Fprintf(stdout, "metrics: -> %s\n", metricsPath)
 		}
 	}
 	return nil
@@ -147,13 +143,14 @@ func (o *outputs) write(tr *obs.Trace, reg *obs.Registry, tracePath, metricsPath
 
 // ---- fleetsim run ----
 
-func cmdRun(args []string) int {
+func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetsim run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	par := fs.Int("parallelism", 0, "fleet simulation workers (0 = scenario's setting, then GOMAXPROCS)")
 	tracePath := fs.String("trace", "", "write the CEE lifecycle trace (JSONL) to this file")
 	metricsPath := fs.String("metrics", "", "write a Prometheus text metrics snapshot to this file, '-' for stdout")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: fleetsim run <scenario.yaml> [flags]")
+		fmt.Fprintln(stderr, "usage: fleetsim run <scenario.yaml> [flags]")
 		fs.PrintDefaults()
 	}
 	// Accept the scenario path before, between, or after flags: the Go
@@ -176,7 +173,7 @@ func cmdRun(args []string) int {
 		rest = fs.Args()[1:]
 	}
 	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -parallelism must be >= 0, got %d\n", *par)
+		fmt.Fprintf(stderr, "fleetsim: -parallelism must be >= 0, got %d\n", *par)
 		return 2
 	}
 	if scenarioPath == "" {
@@ -185,13 +182,13 @@ func cmdRun(args []string) int {
 	}
 	s, err := scenario.Load(scenarioPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
 	out, err := openOutputs(*tracePath, *metricsPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
+		fmt.Fprintf(stderr, "fleetsim: %v\n", err)
 		return 2
 	}
 
@@ -203,57 +200,57 @@ func cmdRun(args []string) int {
 	}
 	res, err := s.Run(opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
+		fmt.Fprintf(stderr, "fleetsim: %v\n", err)
 		return 1
 	}
-	printSummary(s, res)
-	if err := out.write(tr, opts.Metrics, *tracePath, *metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
+	printSummary(stdout, s, res)
+	if err := out.write(stdout, tr, opts.Metrics, *tracePath, *metricsPath); err != nil {
+		fmt.Fprintf(stderr, "fleetsim: %v\n", err)
 		return 1
 	}
 	if tr != nil {
-		if err := traceSelfCheck(tr, res.Detection, s.Days); err != nil {
-			fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
+		if err := traceSelfCheck(stdout, tr, res.Detection, s.Days); err != nil {
+			fmt.Fprintf(stderr, "fleetsim: %v\n", err)
 			return 1
 		}
 	}
 	if fails := s.Check(res); len(fails) > 0 {
 		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "FAIL %s\n", f)
+			fmt.Fprintf(stderr, "FAIL %s\n", f)
 		}
-		fmt.Fprintf(os.Stderr, "fleetsim: %s: %d assertion(s) failed\n", s.Name, len(fails))
+		fmt.Fprintf(stderr, "fleetsim: %s: %d assertion(s) failed\n", s.Name, len(fails))
 		return 1
 	}
 	if !s.Assert.Empty() {
-		fmt.Printf("assertions: all passed\n")
+		fmt.Fprintf(stdout, "assertions: all passed\n")
 	}
 	return 0
 }
 
 // printSummary prints the run's headline numbers.
-func printSummary(s *scenario.Scenario, res *scenario.Result) {
+func printSummary(w io.Writer, s *scenario.Scenario, res *scenario.Result) {
 	t := res.Totals()
 	rep := res.Detection
-	fmt.Printf("scenario %s: %d days, %d machines x %d cores\n",
+	fmt.Fprintf(w, "scenario %s: %d days, %d machines x %d cores\n",
 		s.Name, s.Days, s.Fleet.Machines, s.Fleet.Cores)
-	fmt.Printf("run: %d corruptions, %d auto reports, %d user reports, %d screen detections\n",
+	fmt.Fprintf(w, "run: %d corruptions, %d auto reports, %d user reports, %d screen detections\n",
 		t.Corruptions, t.AutoReports, t.UserReports, t.ScreenDetections)
-	fmt.Printf("detection: %d defective cores (%d past onset), %d quarantined (TP %d / FP %d), detected fraction %.3f\n",
+	fmt.Fprintf(w, "detection: %d defective cores (%d past onset), %d quarantined (TP %d / FP %d), detected fraction %.3f\n",
 		rep.TotalDefective, rep.PastOnset, rep.Quarantined,
 		rep.TruePositive, rep.FalsePositive, rep.DetectedFraction())
 	if t.KVReads > 0 || t.KVErrors > 0 {
-		fmt.Printf("kvdb: %d reads: %d retries, %d repairs, %d degraded, %d client errors\n",
+		fmt.Fprintf(w, "kvdb: %d reads: %d retries, %d repairs, %d degraded, %d client errors\n",
 			t.KVReads, t.KVRetries, t.KVRepairs, t.KVDegraded, t.KVErrors)
 	}
 	if t.TRGranules > 0 || t.TRFailures > 0 {
-		fmt.Printf("taskrun: %d granules: %d retries, %d restores, %d migrations, %d signals, %d failed tasks\n",
+		fmt.Fprintf(w, "taskrun: %d granules: %d retries, %d restores, %d migrations, %d signals, %d failed tasks\n",
 			t.TRGranules, t.TRRetries, t.TRRestores, t.TRMigrations, t.TRSignals, t.TRFailures)
 	}
 }
 
 // traceSelfCheck audits the trace stream: the detection report derived
 // purely from the JSONL events must equal the live fleet's.
-func traceSelfCheck(tr *obs.Trace, rep metrics.DetectionReport, days int) error {
+func traceSelfCheck(w io.Writer, tr *obs.Trace, rep metrics.DetectionReport, days int) error {
 	fromTrace, err := metrics.DetectionFromTrace(tr.Events(), days)
 	if err != nil {
 		return fmt.Errorf("trace self-check: %w", err)
@@ -262,16 +259,17 @@ func traceSelfCheck(tr *obs.Trace, rep metrics.DetectionReport, days int) error 
 		return fmt.Errorf("trace self-check failed: trace-derived report %+v != ground truth %+v",
 			fromTrace, rep)
 	}
-	fmt.Println("trace self-check: detection report derived from trace matches ground truth")
+	fmt.Fprintln(w, "trace self-check: detection report derived from trace matches ground truth")
 	return nil
 }
 
 // ---- fleetsim validate ----
 
-func cmdValidate(args []string) int {
+func cmdValidate(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetsim validate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: fleetsim validate <scenario.yaml>...")
+		fmt.Fprintln(stderr, "usage: fleetsim validate <scenario.yaml>...")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -285,58 +283,31 @@ func cmdValidate(args []string) int {
 		s, err := scenario.Load(path)
 		if err != nil {
 			bad++
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			continue
 		}
-		fmt.Printf("ok\t%s\t(%s: %d days, %d events, %d assertions)\n",
+		fmt.Fprintf(stdout, "ok\t%s\t(%s: %d days, %d events, %d assertions)\n",
 			path, s.Name, s.Days, len(s.Events),
 			len(s.Assert.Quantities)+len(s.Assert.QuarantinedCores)+
 				len(s.Assert.NotQuarantinedCores)+len(s.Assert.Metrics))
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: %d of %d file(s) invalid\n", bad, fs.NArg())
+		fmt.Fprintf(stderr, "fleetsim: %d of %d file(s) invalid\n", bad, fs.NArg())
 		return 1
 	}
 	return 0
 }
 
-// ---- fleetsim experiments (the legacy CLI) ----
+// ---- fleetsim experiments ----
 
-func cmdExperiments(args []string) int {
+func cmdExperiments(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetsim experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	exp := fs.String("experiment", "all", "experiment id (F1, E1..E14) or 'all'")
 	scale := fs.String("scale", "small", "small | full")
-	par := fs.Int("parallelism", 0, "fleet simulation workers (0 = GOMAXPROCS)")
-	tracePath := fs.String("trace", "", "write a CEE lifecycle trace (JSONL) to this file (traced-run mode)")
-	metricsPath := fs.String("metrics", "", "write a Prometheus text metrics snapshot to this file, '-' for stdout (traced-run mode)")
-	days := fs.Int("days", 45, "days to simulate in traced-run mode")
-	kvStores := fs.Int("kvstores", 0, "tolerant kvdb stores to serve during traced-run mode (0 disables)")
-	taskRun := fs.Int("taskrun", 0, "checkpoint/retry tasks to run per day during traced-run mode (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	// Reject nonsense before it silently misbehaves (a negative
-	// parallelism used to fall through to the worker pool; 0 = auto).
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -parallelism must be >= 1 (or 0 for GOMAXPROCS), got %d\n", *par)
-		return 2
-	}
-	if *days <= 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -days must be positive, got %d\n", *days)
-		return 2
-	}
-	if *kvStores < 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -kvstores must be >= 0, got %d\n", *kvStores)
-		return 2
-	}
-	if *taskRun < 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -taskrun must be >= 0, got %d\n", *taskRun)
-		return 2
-	}
-
-	fleet.SetDefaultParallelism(*par)
-
 	var s experiments.Scale
 	switch *scale {
 	case "small":
@@ -344,94 +315,16 @@ func cmdExperiments(args []string) int {
 	case "full":
 		s = experiments.Full
 	default:
-		fmt.Fprintf(os.Stderr, "fleetsim: unknown scale %q\n", *scale)
+		fmt.Fprintf(stderr, "fleetsim: unknown scale %q\n", *scale)
 		return 2
 	}
-
-	if *tracePath != "" || *metricsPath != "" {
-		return runTraced(s, *par, *days, *kvStores, *taskRun, *tracePath, *metricsPath)
-	}
-	if *kvStores > 0 {
-		fmt.Fprintln(os.Stderr, "fleetsim: -kvstores needs traced-run mode (use -trace and/or -metrics)")
-		return 2
-	}
-	if *taskRun > 0 {
-		fmt.Fprintln(os.Stderr, "fleetsim: -taskrun needs traced-run mode (use -trace and/or -metrics)")
-		return 2
-	}
-
 	ids := []string{strings.ToUpper(*exp)}
 	if strings.EqualFold(*exp, "all") {
 		ids = experiments.IDs()
 	}
-	for _, id := range ids {
-		run, ok := experiments.Registry[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "fleetsim: unknown experiment %q (have %v)\n",
-				id, experiments.IDs())
-			return 2
-		}
-		fmt.Println(strings.Repeat("=", 72))
-		fmt.Print(run(s))
-		fmt.Println()
-	}
-	return 0
-}
-
-// runTraced performs one instrumented fleet run at the given scale. The
-// legacy flag pile is lowered onto a generated scenario, so this mode and
-// 'fleetsim run' share one execution path.
-func runTraced(s experiments.Scale, par, days, kvStores, taskRun int, tracePath, metricsPath string) int {
-	cfg := experiments.FleetConfig(s)
-	if kvStores > 0 {
-		cfg.KVDB.Stores = kvStores
-	}
-	if taskRun > 0 {
-		cfg.TaskRun.Tasks = taskRun
-	}
-	sc := scenario.FromConfig("traced-run", cfg, days)
-
-	out, err := openOutputs(tracePath, metricsPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
+	if err := experiments.Write(stdout, ids, s); err != nil {
+		fmt.Fprintf(stderr, "fleetsim: %v\n", err)
 		return 2
-	}
-
-	opts := scenario.Options{Parallelism: par, Metrics: obs.NewRegistry()}
-	var tr *obs.Trace
-	if tracePath != "" {
-		tr = obs.NewTrace()
-		opts.Trace = tr
-	}
-	res, err := sc.Run(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-		return 1
-	}
-
-	t := res.Totals()
-	if kvStores > 0 {
-		fmt.Printf("kvdb: %d stores served %d reads: %d retries, %d repairs, %d degraded, %d client errors\n",
-			kvStores, t.KVReads, t.KVRetries, t.KVRepairs, t.KVDegraded, t.KVErrors)
-	}
-	if taskRun > 0 {
-		fmt.Printf("taskrun: %d tasks/day committed %d granules: %d retries, %d restores, %d migrations, %d signals, %d failed tasks\n",
-			taskRun, t.TRGranules, t.TRRetries, t.TRRestores, t.TRMigrations, t.TRSignals, t.TRFailures)
-	}
-	if err := out.write(tr, opts.Metrics, tracePath, metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-		return 1
-	}
-
-	rep := res.Detection
-	fmt.Printf("run: %d days, %d defective cores (%d past onset), %d quarantined (TP %d / FP %d), detected fraction %.3f\n",
-		days, rep.TotalDefective, rep.PastOnset, rep.Quarantined,
-		rep.TruePositive, rep.FalsePositive, rep.DetectedFraction())
-	if tr != nil {
-		if err := traceSelfCheck(tr, rep, days); err != nil {
-			fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-			return 1
-		}
 	}
 	return 0
 }

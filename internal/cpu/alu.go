@@ -75,12 +75,6 @@ func (a *ALU) Inject(f StuckAt) error {
 	return nil
 }
 
-// Clear removes all injected faults.
-func (a *ALU) Clear() {
-	a.sumFault = [64]*uint{}
-	a.carryFault = [64]*uint{}
-}
-
 // Faulty reports whether any fault is injected.
 func (a *ALU) Faulty() bool {
 	for i := 0; i < 64; i++ {

@@ -78,10 +78,6 @@ func TestInjectValidation(t *testing.T) {
 	if !a.Faulty() {
 		t.Fatal("fault not registered")
 	}
-	a.Clear()
-	if a.Faulty() {
-		t.Fatal("Clear did not remove faults")
-	}
 }
 
 func TestStuckSumFault(t *testing.T) {

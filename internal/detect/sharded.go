@@ -54,9 +54,6 @@ func (s *ShardedTracker) shardFor(machine string) *trackerShard {
 	return &s.shards[keyhash.Shard(machine, len(s.shards))]
 }
 
-// Shards returns the shard count.
-func (s *ShardedTracker) Shards() int { return len(s.shards) }
-
 // Add ingests one signal.
 func (s *ShardedTracker) Add(sig Signal) {
 	sh := s.shardFor(sig.Machine)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/quarantine"
 	"repro/internal/stats"
@@ -201,9 +200,9 @@ func E4(s Scale) E4Result {
 			cfg := fleetConfig(s)
 			cfg.Seed = seed
 			cfg.ScreenOpsPerCoreDay = budget
-			f := fleet.New(cfg)
-			f.Run(nDays)
-			rep := metrics.Detection(f, nDays)
+			r := newRunner(cfg)
+			r.Run(nDays)
+			rep := metrics.Detection(r.Fleet(), nDays)
 			row.DetectedFraction += rep.DetectedFraction() / float64(len(seeds))
 			row.MeanLatencyDays += rep.MeanLatencyDays() / float64(len(seeds))
 			row.FalsePositives += rep.FalsePositive
@@ -258,8 +257,9 @@ func E6(s Scale) E6Result {
 	for _, mode := range []quarantine.Mode{quarantine.MachineDrain, quarantine.CoreRemoval, quarantine.SafeTasks} {
 		cfg := fleetConfig(s)
 		cfg.Policy = quarantine.Policy{Mode: mode, RequireConfession: true}
-		f := fleet.New(cfg)
-		f.Run(nDays)
+		r := newRunner(cfg)
+		r.Run(nDays)
+		f := r.Fleet()
 		cap := f.Cluster().Capacity()
 		out.Rows = append(out.Rows, E6Row{
 			Mode:            mode.String(),
@@ -306,7 +306,10 @@ func E12(s Scale) E12Result {
 	for _, seed := range seeds {
 		cfg := fleetConfig(s)
 		cfg.Seed = seed
-		pts := metrics.CoverageCurve(cfg, sizes, days(s, 40, 90))
+		pts, err := metrics.CoverageCurve(cfg, sizes, days(s, 40, 90))
+		if err != nil {
+			panic(err)
+		}
 		for i, p := range pts {
 			acc[i].DetectedFraction += p.DetectedFraction / float64(len(seeds))
 			acc[i].Quarantined += p.Quarantined

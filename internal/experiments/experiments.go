@@ -4,8 +4,8 @@
 // catalogued in DESIGN.md), a Run function returning a result value, and a
 // Table method rendering the rows the paper's text/figure reports.
 //
-// cmd/fleetsim and the repository-root benchmarks both drive this package,
-// so the printed artifacts in EXPERIMENTS.md are regenerable two ways.
+// cmd/fleetsim prints the tables through Write; experiments_output.txt is
+// that output at Small scale, pinned byte for byte by TestExperimentsGolden.
 package experiments
 
 import (
@@ -48,10 +48,15 @@ func fleetConfig(s Scale) fleet.Config {
 	return cfg
 }
 
-// FleetConfig exposes the per-scale base configuration to external
-// drivers — cmd/fleetsim's traced-run mode simulates the same fleet the
-// experiments do.
-func FleetConfig(s Scale) fleet.Config { return fleetConfig(s) }
+// newRunner builds the fleet for cfg. The drivers' configurations are
+// fixed, so NewRunner rejecting one is a bug.
+func newRunner(cfg fleet.Config) *fleet.Runner {
+	r, err := fleet.NewRunner(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
 
 func days(s Scale, small, full int) int {
 	if s == Full {
@@ -74,8 +79,7 @@ type F1Result struct {
 func F1(s Scale) F1Result {
 	cfg := fleetConfig(s)
 	cfg.Policy = quarantine.Policy{Mode: quarantine.CoreRemoval, MinScore: 1e18}
-	f := fleet.New(cfg)
-	daily := f.Run(days(s, 180, 365))
+	daily := newRunner(cfg).Run(days(s, 180, 365))
 	rates := fleet.Normalize(fleet.WeeklyRates(daily, cfg.Machines))
 	return F1Result{
 		Rates:     rates,
@@ -114,8 +118,7 @@ func E1(s Scale) E1Result {
 		cfg.Machines = 20000
 	}
 	cfg.CoresPerMachine = 8 // population only; cores are not simulated here
-	f := fleet.New(cfg)
-	n := len(f.Defects())
+	n := len(newRunner(cfg).Fleet().Defects())
 	return E1Result{
 		Machines:        cfg.Machines,
 		MercurialCores:  n,
@@ -140,8 +143,7 @@ type E2Result struct {
 // E2 measures how corruptions split across §2's symptom classes.
 func E2(s Scale) E2Result {
 	cfg := fleetConfig(s)
-	f := fleet.New(cfg)
-	daily := f.Run(days(s, 60, 180))
+	daily := newRunner(cfg).Run(days(s, 60, 180))
 	var out E2Result
 	for _, d := range daily {
 		out.Total += d.Corruptions
@@ -179,9 +181,9 @@ func E5(s Scale) E5Result {
 	cfg := fleetConfig(s)
 	cfg.Machines *= 4
 	cfg.Policy = quarantine.Policy{Mode: quarantine.CoreRemoval, MinScore: 1e18}
-	f := fleet.New(cfg)
-	f.Run(days(s, 120, 365))
-	return E5Result{f.Triage}
+	r := newRunner(cfg)
+	r.Run(days(s, 120, 365))
+	return E5Result{r.Fleet().Triage}
 }
 
 // ConfirmationRate returns confirmed/investigated, or 0.
@@ -215,7 +217,7 @@ type E11Result struct {
 func E11(s Scale) E11Result {
 	cfg := fleetConfig(s)
 	cfg.Machines *= 4
-	f := fleet.New(cfg)
+	f := newRunner(cfg).Fleet()
 	var out E11Result
 	var latent []float64
 	for _, d := range f.Defects() {

@@ -1,9 +1,62 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite ../../experiments_output.txt from the registry")
+
+// smallResults memoises each experiment at Small scale, so the band
+// tests and the golden share one run per experiment.
+var smallResults = map[string]Result{}
+
+func small(id string) Result {
+	r, ok := smallResults[id]
+	if !ok {
+		r = Registry[id](Small)
+		smallResults[id] = r
+	}
+	return r
+}
+
+// TestExperimentsGolden renders every experiment at Small scale exactly
+// as 'fleetsim experiments' prints it and compares the text with the
+// checked-in experiments_output.txt. Run with -update to regenerate it.
+func TestExperimentsGolden(t *testing.T) {
+	const golden = "../../experiments_output.txt"
+	var got bytes.Buffer
+	if err := writeTables(&got, IDs(), small); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("%s differs at line %d:\n got: %q\nwant: %q\n(rerun with -update if the change is intended)", golden, i+1, g, w)
+			}
+		}
+	}
+}
 
 func TestRegistryCompleteAndOrdered(t *testing.T) {
 	ids := IDs()
@@ -19,7 +72,7 @@ func TestRegistryCompleteAndOrdered(t *testing.T) {
 }
 
 func TestE1IncidenceMatchesPaperOrder(t *testing.T) {
-	r := E1(Small)
+	r := small("E1").(E1Result)
 	// "A few mercurial cores per several thousand machines": the rate
 	// per thousand must be order-1, not order-10 or order-0.01.
 	if r.PerThousandMach < 0.5 || r.PerThousandMach > 10 {
@@ -31,7 +84,7 @@ func TestE1IncidenceMatchesPaperOrder(t *testing.T) {
 }
 
 func TestE2OutcomesSumAndSilentShare(t *testing.T) {
-	r := E2(Small)
+	r := small("E2").(E2Result)
 	var sum int64
 	for _, v := range r.ByOutcome {
 		sum += v
@@ -52,7 +105,7 @@ func TestE2OutcomesSumAndSilentShare(t *testing.T) {
 }
 
 func TestE3SpreadAndFreqShapes(t *testing.T) {
-	r := E3(Small)
+	r := small("E3").(E3Result)
 	if len(r.Rates) < 30 {
 		t.Fatalf("only %d defects characterized", len(r.Rates))
 	}
@@ -83,7 +136,7 @@ func TestE3SpreadAndFreqShapes(t *testing.T) {
 }
 
 func TestE4MoreBudgetNeverWorse(t *testing.T) {
-	r := E4(Small)
+	r := small("E4").(E4Result)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -98,7 +151,7 @@ func TestE4MoreBudgetNeverWorse(t *testing.T) {
 }
 
 func TestE5RoughlyHalf(t *testing.T) {
-	r := E5(Small)
+	r := small("E5").(E5Result)
 	if r.Investigated == 0 {
 		t.Fatal("no investigations")
 	}
@@ -111,7 +164,7 @@ func TestE5RoughlyHalf(t *testing.T) {
 }
 
 func TestE6SafeTasksSalvagesCapacity(t *testing.T) {
-	r := E6(Small)
+	r := small("E6").(E6Result)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -133,7 +186,7 @@ func TestE6SafeTasksSalvagesCapacity(t *testing.T) {
 }
 
 func TestE7MitigationShapes(t *testing.T) {
-	r := E7(Small)
+	r := small("E7").(E7Result)
 	rows := map[string]E7Row{}
 	for _, row := range r.Rows {
 		rows[row.Mechanism] = row
@@ -167,7 +220,7 @@ func TestE7MitigationShapes(t *testing.T) {
 }
 
 func TestE8AmortizationFlat(t *testing.T) {
-	r := E8(Small)
+	r := small("E8").(E8Result)
 	if len(r.Rows) < 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -185,7 +238,7 @@ func TestE8AmortizationFlat(t *testing.T) {
 }
 
 func TestE9CheckerWins(t *testing.T) {
-	r := E9(Small)
+	r := small("E9").(E9Result)
 	if r.FreivaldsOpsFraction >= 0.5 {
 		t.Fatalf("checker not cheaper: %v", r.FreivaldsOpsFraction)
 	}
@@ -208,7 +261,7 @@ func TestE9CheckerWins(t *testing.T) {
 }
 
 func TestE10AllIncidentsReproduce(t *testing.T) {
-	r := E10(Small)
+	r := small("E10").(E10Result)
 	if r.Passed != len(r.Incidents) {
 		t.Fatalf("incidents: %d/%d\n%s", r.Passed, len(r.Incidents), r.Table())
 	}
@@ -218,7 +271,7 @@ func TestE10AllIncidentsReproduce(t *testing.T) {
 }
 
 func TestE11AgingMix(t *testing.T) {
-	r := E11(Small)
+	r := small("E11").(E11Result)
 	if r.ImmediateN == 0 || r.LatentN == 0 {
 		t.Fatalf("population not mixed: %+v", r)
 	}
@@ -232,7 +285,7 @@ func TestE11AgingMix(t *testing.T) {
 }
 
 func TestE12CoverageMatters(t *testing.T) {
-	r := E12(Small)
+	r := small("E12").(E12Result)
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -245,7 +298,7 @@ func TestE12CoverageMatters(t *testing.T) {
 }
 
 func TestF1Shape(t *testing.T) {
-	r := F1(Small)
+	r := small("F1").(F1Result)
 	if len(r.Rates) < 20 {
 		t.Fatalf("weeks = %d", len(r.Rates))
 	}
@@ -263,7 +316,7 @@ func TestF1Shape(t *testing.T) {
 }
 
 func TestE13Amplification(t *testing.T) {
-	r := E13(Small)
+	r := small("E13").(E13Result)
 	if r.CorruptedWraps == 0 {
 		t.Fatal("no key wraps corrupted; defect too cold")
 	}
@@ -283,7 +336,7 @@ func TestE13Amplification(t *testing.T) {
 }
 
 func TestE14SKURiskShapes(t *testing.T) {
-	r := E14(Small)
+	r := small("E14").(E14Result)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -1,28 +1,37 @@
 package experiments
 
-import "sort"
+import (
+	"fmt"
+	"io"
+	"sort"
+	"strings"
+)
 
-// Runner runs one experiment at the given scale and renders its table.
-type Runner func(Scale) string
+// Result is one experiment's outcome; Table renders the rows the paper
+// reports.
+type Result interface{ Table() string }
+
+// Runner runs one experiment at the given scale.
+type Runner func(Scale) Result
 
 // Registry maps experiment ids to runners. F1 is the paper's Figure 1;
 // E1..E14 are the per-claim experiments from DESIGN.md §4.
 var Registry = map[string]Runner{
-	"F1":  func(s Scale) string { return F1(s).Table() },
-	"E1":  func(s Scale) string { return E1(s).Table() },
-	"E2":  func(s Scale) string { return E2(s).Table() },
-	"E3":  func(s Scale) string { return E3(s).Table() },
-	"E4":  func(s Scale) string { return E4(s).Table() },
-	"E5":  func(s Scale) string { return E5(s).Table() },
-	"E6":  func(s Scale) string { return E6(s).Table() },
-	"E7":  func(s Scale) string { return E7(s).Table() },
-	"E8":  func(s Scale) string { return E8(s).Table() },
-	"E9":  func(s Scale) string { return E9(s).Table() },
-	"E10": func(s Scale) string { return E10(s).Table() },
-	"E11": func(s Scale) string { return E11(s).Table() },
-	"E12": func(s Scale) string { return E12(s).Table() },
-	"E13": func(s Scale) string { return E13(s).Table() },
-	"E14": func(s Scale) string { return E14(s).Table() },
+	"F1":  func(s Scale) Result { return F1(s) },
+	"E1":  func(s Scale) Result { return E1(s) },
+	"E2":  func(s Scale) Result { return E2(s) },
+	"E3":  func(s Scale) Result { return E3(s) },
+	"E4":  func(s Scale) Result { return E4(s) },
+	"E5":  func(s Scale) Result { return E5(s) },
+	"E6":  func(s Scale) Result { return E6(s) },
+	"E7":  func(s Scale) Result { return E7(s) },
+	"E8":  func(s Scale) Result { return E8(s) },
+	"E9":  func(s Scale) Result { return E9(s) },
+	"E10": func(s Scale) Result { return E10(s) },
+	"E11": func(s Scale) Result { return E11(s) },
+	"E12": func(s Scale) Result { return E12(s) },
+	"E13": func(s Scale) Result { return E13(s) },
+	"E14": func(s Scale) Result { return E14(s) },
 }
 
 // IDs returns the experiment ids in presentation order.
@@ -43,4 +52,27 @@ func IDs() []string {
 		return a < b
 	})
 	return ids
+}
+
+// Write runs the experiments ids at scale s and prints each table under a
+// rule of '=', the layout of experiments_output.txt. An unknown id is an
+// error reported before anything runs.
+func Write(w io.Writer, ids []string, s Scale) error {
+	for _, id := range ids {
+		if _, ok := Registry[id]; !ok {
+			return fmt.Errorf("unknown experiment %q (have %v)", id, IDs())
+		}
+	}
+	return writeTables(w, ids, func(id string) Result { return Registry[id](s) })
+}
+
+// writeTables prints result(id) for each id in order; the golden test
+// passes memoised results through it.
+func writeTables(w io.Writer, ids []string, result func(id string) Result) error {
+	for _, id := range ids {
+		if _, err := fmt.Fprintf(w, "%s\n%s\n", strings.Repeat("=", 72), result(id).Table()); err != nil {
+			return err
+		}
+	}
+	return nil
 }

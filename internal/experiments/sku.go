@@ -37,8 +37,9 @@ func E14(s Scale) E14Result {
 		{Name: "vendorA-aged", Fraction: 0.2, DefectMultiplier: 1.0, PreAgeDays: 1200},
 	}
 	nDays := days(s, 60, 180)
-	f := fleet.New(cfg)
-	f.Run(nDays)
+	r := newRunner(cfg)
+	r.Run(nDays)
+	f := r.Fleet()
 	rep := metrics.Detection(f, nDays)
 	_ = rep
 

@@ -153,13 +153,6 @@ func (c *Core) TotalCorruptions() uint64 {
 	return t
 }
 
-// ResetCounters zeroes the op and corruption counters (used between
-// screening passes so rates are per-pass).
-func (c *Core) ResetCounters() {
-	c.OpCount = [NumOpClasses]uint64{}
-	c.CorruptCount = [NumOpClasses]uint64{}
-}
-
 // ObservedRate returns corruptions per operation over everything executed
 // so far, or 0 if nothing ran.
 func (c *Core) ObservedRate() float64 {

@@ -380,15 +380,6 @@ func TestCoreOnCorruptHook(t *testing.T) {
 	}
 }
 
-func TestCoreResetCounters(t *testing.T) {
-	c := NewCore("c5", xrand.New(6), Defect{Unit: UnitALU, Deterministic: true})
-	c.Decide(OpAdd, 0)
-	c.ResetCounters()
-	if c.TotalOps() != 0 || c.TotalCorruptions() != 0 {
-		t.Fatal("ResetCounters did not zero")
-	}
-}
-
 func TestCoreObservedRateEmpty(t *testing.T) {
 	c := NewCore("c6", xrand.New(7))
 	if c.ObservedRate() != 0 {

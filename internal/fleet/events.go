@@ -20,9 +20,6 @@ import (
 	"repro/internal/simtime"
 )
 
-// Day returns the next day Step will simulate (0 before the first Step).
-func (f *Fleet) Day() int { return f.day }
-
 // OperatingPoint returns the fleet-wide operating point.
 func (f *Fleet) OperatingPoint() fault.OperatingPoint { return f.point }
 

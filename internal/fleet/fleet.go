@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/corpus"
 	"repro/internal/detect"
@@ -366,7 +367,7 @@ type Fleet struct {
 	defects     []*DefectSite
 	// siteMachines[i] is the resolved machine of defects[i] — struct-of-
 	// arrays companion to the defect list, so the per-day planning loop
-	// never re-parses machine ids. Kept aligned with defects by New and
+	// never re-parses machine ids. Kept aligned with defects by newFleet and
 	// InjectDefect (sites are never removed, only marked Repaired).
 	siteMachines []*Machine
 	// scratch holds the day loop's pooled buffers (see tick.go).
@@ -386,7 +387,7 @@ type Fleet struct {
 	// userSeen dedups human investigations per machine: production
 	// humans investigate a suspect machine once, not per incident.
 	userSeen map[string]bool
-	// Observability sinks (optional; see SetMetrics/SetTrace). Both are
+	// Observability sinks (optional; set by NewRunner). Both are
 	// written only from serial phases or via lock-free instruments, so
 	// they never perturb the determinism contract.
 	obs   *obs.Registry
@@ -436,11 +437,9 @@ type Fleet struct {
 	lifeTotals   LifeTotals
 }
 
-// New builds the fleet population deterministically from cfg.
-func New(cfg Config) *Fleet {
-	if cfg.Machines <= 0 || cfg.CoresPerMachine <= 0 {
-		panic("fleet: machines and cores must be positive")
-	}
+// newFleet builds the fleet population deterministically from cfg, which
+// NewRunner has validated.
+func newFleet(cfg Config) *Fleet {
 	// The quarantine manager picks its confession screen from the
 	// policy; default it to the fleet's (cheap) confession config so
 	// daily suspect processing does not run full deep screens.
@@ -453,7 +452,7 @@ func New(cfg Config) *Fleet {
 	f := &Fleet{
 		cfg:           cfg,
 		rng:           xrand.New(cfg.Seed),
-		parallelism:   DefaultParallelism(),
+		parallelism:   runtime.GOMAXPROCS(0),
 		point:         fault.Nominal,
 		server:        report.NewServer(cfg.CoresPerMachine),
 		cluster:       sched.NewCluster(),
@@ -537,12 +536,12 @@ func New(cfg Config) *Fleet {
 // Config returns the fleet's configuration.
 func (f *Fleet) Config() Config { return f.cfg }
 
-// SetMetrics routes the whole stack's telemetry — per-phase wall time,
+// setMetrics routes the whole stack's telemetry — per-phase wall time,
 // report-service counters, screening passes, quarantine ledger
 // transitions — into one shared registry. Call before the first Step.
 // Metrics never affect simulation results: nothing here consumes
 // randomness or changes control flow.
-func (f *Fleet) SetMetrics(reg *obs.Registry) {
+func (f *Fleet) setMetrics(reg *obs.Registry) {
 	f.obs = reg
 	f.server.SetMetrics(reg)
 	f.manager.Metrics = reg
@@ -554,20 +553,8 @@ func (f *Fleet) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// SetTrace attaches a CEE-lifecycle trace. Call before the first Step:
-// the ground-truth defect population is emitted on day 0. All emission
-// happens in the serial phases of a day, so the stream is bit-identical
-// at any parallelism.
-func (f *Fleet) SetTrace(tr *obs.Trace) { f.trace = tr }
-
-// Trace returns the attached lifecycle trace (nil when tracing is off).
-func (f *Fleet) Trace() *obs.Trace { return f.trace }
-
 // Defects returns the ground-truth defect sites.
 func (f *Fleet) Defects() []*DefectSite { return f.defects }
-
-// Server returns the suspect-report service.
-func (f *Fleet) Server() *report.Server { return f.server }
 
 // Cluster returns the scheduler state.
 func (f *Fleet) Cluster() *sched.Cluster { return f.cluster }

@@ -27,7 +27,7 @@ func TestPopulationIncidence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Machines = 5000
 	cfg.CoresPerMachine = 8
-	f := New(cfg)
+	f := newFleet(cfg)
 	// "A few mercurial cores per several thousand machines": expected
 	// 0.002 * 5000 = 10 defective cores.
 	n := len(f.Defects())
@@ -51,8 +51,8 @@ func TestPopulationIncidence(t *testing.T) {
 }
 
 func TestPopulationDeterministic(t *testing.T) {
-	a := New(testConfig())
-	b := New(testConfig())
+	a := newFleet(testConfig())
+	b := newFleet(testConfig())
 	if len(a.Defects()) != len(b.Defects()) {
 		t.Fatal("population not deterministic")
 	}
@@ -66,8 +66,8 @@ func TestPopulationDeterministic(t *testing.T) {
 }
 
 func TestRunProducesTelemetry(t *testing.T) {
-	f := New(testConfig())
-	days := f.Run(30)
+	r := newTestRunner(t, testConfig())
+	days := r.Run(30)
 	if len(days) != 30 {
 		t.Fatalf("days = %d", len(days))
 	}
@@ -85,8 +85,8 @@ func TestRunProducesTelemetry(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := New(testConfig()).Run(15)
-	b := New(testConfig()).Run(15)
+	a := newTestRunner(t, testConfig()).Run(15)
+	b := newTestRunner(t, testConfig()).Run(15)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("day %d differs: %+v vs %+v", i, a[i], b[i])
@@ -95,8 +95,8 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestOutcomeSplitConserves(t *testing.T) {
-	f := New(testConfig())
-	days := f.Run(20)
+	r := newTestRunner(t, testConfig())
+	days := r.Run(20)
 	for _, d := range days {
 		var sum int64
 		for _, v := range d.ByOutcome {
@@ -112,8 +112,8 @@ func TestOutcomeSplitConserves(t *testing.T) {
 func TestSilentFractionDominates(t *testing.T) {
 	// With the default probabilities, ~45% of corruptions are never
 	// detected — the paper's central worry.
-	f := New(testConfig())
-	days := f.Run(30)
+	r := newTestRunner(t, testConfig())
+	days := r.Run(30)
 	var silent, total int64
 	for _, d := range days {
 		silent += d.ByOutcome[OutcomeSilent]
@@ -129,8 +129,9 @@ func TestSilentFractionDominates(t *testing.T) {
 }
 
 func TestQuarantineIsMostlyTruePositive(t *testing.T) {
-	f := New(testConfig())
-	f.Run(60)
+	r := newTestRunner(t, testConfig())
+	f := r.Fleet()
+	r.Run(60)
 	recs := f.Manager().Records()
 	if len(recs) == 0 {
 		t.Fatal("nothing quarantined in 60 days with dense defects")
@@ -156,8 +157,8 @@ func TestQuarantineIsMostlyTruePositive(t *testing.T) {
 
 func TestQuarantineStopsSignals(t *testing.T) {
 	cfg := testConfig()
-	f := New(cfg)
-	days := f.Run(90)
+	r := newTestRunner(t, cfg)
+	days := r.Run(90)
 	// Once hot defects are quarantined, active defects should shrink.
 	if days[89].ActiveDefects >= days[0].ActiveDefects && days[0].ActiveDefects > 0 {
 		// Aging can activate latent defects, so only require that the
@@ -173,8 +174,9 @@ func TestQuarantineStopsSignals(t *testing.T) {
 }
 
 func TestQuarantineDayRecorded(t *testing.T) {
-	f := New(testConfig())
-	f.Run(60)
+	r := newTestRunner(t, testConfig())
+	f := r.Fleet()
+	r.Run(60)
 	for _, r := range f.Manager().Records() {
 		if _, ok := f.QuarantineDay(r.Ref); !ok {
 			t.Fatalf("no quarantine day for %v", r.Ref)
@@ -192,8 +194,8 @@ func TestFig1AutoRateRises(t *testing.T) {
 	// Disable quarantine so the series is not truncated by isolation
 	// (Fig. 1 reports raw incident rates).
 	cfg.Policy = quarantine.Policy{Mode: quarantine.CoreRemoval, MinScore: math.Inf(1)}
-	f := New(cfg)
-	days := f.Run(365)
+	r := newTestRunner(t, cfg)
+	days := r.Run(365)
 	rates := Normalize(WeeklyRates(days, cfg.Machines))
 	if len(rates) < 50 {
 		t.Fatalf("weeks = %d", len(rates))
@@ -225,8 +227,9 @@ func TestTriageConfirmationRoughlyHalf(t *testing.T) {
 	// Isolate the human channel: with automated quarantine active, hot
 	// cores are isolated before humans ever get to investigate them.
 	cfg.Policy = quarantine.Policy{Mode: quarantine.CoreRemoval, MinScore: math.Inf(1)}
-	f := New(cfg)
-	f.Run(120)
+	r := newTestRunner(t, cfg)
+	f := r.Fleet()
+	r.Run(120)
 	tr := f.Triage
 	if tr.Investigated < 5 {
 		t.Skipf("only %d investigations; not enough signal", tr.Investigated)
@@ -246,7 +249,7 @@ func TestScreenCorpusGrows(t *testing.T) {
 	cfg := testConfig()
 	cfg.InitialCorpus = 3
 	cfg.CorpusGrowEveryDays = 10
-	f := New(cfg)
+	f := newFleet(cfg)
 	if got := f.screenCorpusSize(0); got != 3 {
 		t.Fatalf("day 0 corpus = %d", got)
 	}
@@ -262,7 +265,7 @@ func TestScreenCorpusGrowthDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.InitialCorpus = 0
 	cfg.CorpusGrowEveryDays = 0
-	f := New(cfg)
+	f := newFleet(cfg)
 	if got := f.screenCorpusSize(50); got != len(f.allWork) {
 		t.Fatalf("corpus = %d", got)
 	}
@@ -311,7 +314,7 @@ func TestTrendSlope(t *testing.T) {
 }
 
 func TestSplitOutcomesSumsAndProbabilities(t *testing.T) {
-	f := New(testConfig())
+	f := newFleet(testConfig())
 	rng := f.rng.Fork(1)
 	var totals [numOutcomes]int64
 	const trials = 500
@@ -353,7 +356,7 @@ func TestOutcomeString(t *testing.T) {
 }
 
 func TestMachineByID(t *testing.T) {
-	f := New(testConfig())
+	f := newFleet(testConfig())
 	if m := f.machineByID("m00037"); m.ID != "m00037" {
 		t.Fatalf("machineByID = %s", m.ID)
 	}
@@ -373,7 +376,7 @@ func TestPatternFraction(t *testing.T) {
 
 func BenchmarkFleetDay(b *testing.B) {
 	cfg := testConfig()
-	f := New(cfg)
+	f := newFleet(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Step()
@@ -388,7 +391,7 @@ func TestSKUPopulationShapes(t *testing.T) {
 		{Name: "noisy", Fraction: 0.3, DefectMultiplier: 3},
 		{Name: "aged", Fraction: 0.2, DefectMultiplier: 1, PreAgeDays: 1000},
 	}
-	f := New(cfg)
+	f := newFleet(cfg)
 	counts := map[string]int{}
 	for _, id := range f.Cluster().Machines() {
 		counts[f.MachineSKU(id)]++
@@ -416,7 +419,7 @@ func TestSKUPreAgingActivatesLatentDefects(t *testing.T) {
 	old.SKUs = []SKU{{Name: "old", Fraction: 1, DefectMultiplier: 1, PreAgeDays: 2000}}
 
 	countActive := func(cfg Config) (active, total int) {
-		f := New(cfg)
+		f := newFleet(cfg)
 		for _, d := range f.Defects() {
 			total++
 			if d.FirstActive == 0 {
@@ -440,14 +443,14 @@ func TestSKUPreAgingActivatesLatentDefects(t *testing.T) {
 
 func TestDefaultSKUBackwardCompatible(t *testing.T) {
 	// A nil SKUs config must behave exactly like the pre-SKU simulator.
-	a := New(testConfig()).Run(10)
-	b := New(testConfig()).Run(10)
+	a := newTestRunner(t, testConfig()).Run(10)
+	b := newTestRunner(t, testConfig()).Run(10)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("nil-SKU runs diverge")
 		}
 	}
-	f := New(testConfig())
+	f := newFleet(testConfig())
 	if f.MachineSKU("m00000") != "default" {
 		t.Fatalf("default SKU = %q", f.MachineSKU("m00000"))
 	}
@@ -456,8 +459,9 @@ func TestDefaultSKUBackwardCompatible(t *testing.T) {
 func TestRepairRestoresCapacityAndRetiresDefects(t *testing.T) {
 	cfg := testConfig()
 	cfg.RepairAfterDays = 7
-	f := New(cfg)
-	days := f.Run(90)
+	r := newTestRunner(t, cfg)
+	f := r.Fleet()
+	days := r.Run(90)
 	totalQuar, totalRepair := 0, 0
 	for _, d := range days {
 		totalQuar += d.NewQuarantines
@@ -495,8 +499,8 @@ func TestRepairRestoresCapacityAndRetiresDefects(t *testing.T) {
 }
 
 func TestRepairDisabledByDefault(t *testing.T) {
-	f := New(testConfig())
-	days := f.Run(60)
+	r := newTestRunner(t, testConfig())
+	days := r.Run(60)
 	for _, d := range days {
 		if d.RepairsDone != 0 {
 			t.Fatal("repairs happened with RepairAfterDays=0")

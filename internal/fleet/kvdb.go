@@ -94,7 +94,7 @@ type kvStore struct {
 	last kvdb.TolerantStats
 }
 
-// buildKVStores constructs the stores during New. Only called when the
+// buildKVStores constructs the stores during newFleet. Only called when the
 // phase is enabled, so the master RNG is untouched otherwise.
 func (f *Fleet) buildKVStores() {
 	kcfg := f.cfg.KVDB.withDefaults()

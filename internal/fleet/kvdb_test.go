@@ -45,8 +45,8 @@ func TestKVDBDisabledForksNothing(t *testing.T) {
 	base.Machines = 120
 	base.CoresPerMachine = 8
 	base.DefectsPerMachine = 0.1
-	a := New(base).Run(5)
-	b := New(base).Run(5)
+	a := newTestRunner(t, base).Run(5)
+	b := newTestRunner(t, base).Run(5)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("baseline run not reproducible")
 	}

@@ -63,7 +63,7 @@ type lifeCounters struct {
 	deferred, admitted, retests, swaps       int
 }
 
-// buildLifecycle constructs the manager in New when the config enables it.
+// buildLifecycle constructs the manager in newFleet when the config enables it.
 func (f *Fleet) buildLifecycle() {
 	cfg := f.cfg.Lifecycle
 	if !cfg.Enabled {
@@ -103,7 +103,7 @@ func (f *Fleet) buildLifecycle() {
 }
 
 // buildPolicy resolves the configured remediation policy. Unknown names
-// panic in New, like every other invalid fleet configuration.
+// panic in newFleet, like every other invalid fleet configuration.
 func (f *Fleet) buildPolicy() {
 	r := f.cfg.Remediate
 	switch r.Policy {

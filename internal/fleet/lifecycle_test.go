@@ -25,9 +25,10 @@ func lifecycleConfig() Config {
 }
 
 func TestLifecycleLedgerFollowsConvictions(t *testing.T) {
-	f := New(lifecycleConfig())
+	r := newTestRunner(t, lifecycleConfig())
+	f := r.Fleet()
 	var agg DayStats
-	for _, d := range f.Run(120) {
+	for _, d := range r.Run(120) {
 		agg.NewQuarantines += d.NewQuarantines
 		agg.LifeCordoned += d.LifeCordoned
 		agg.LifeDrained += d.LifeDrained
@@ -90,7 +91,8 @@ func TestLifecycleRecidivistRemovedPermanently(t *testing.T) {
 	}
 	cfg.RepairAfterDays = 3
 	cfg.Lifecycle = LifecycleConfig{Enabled: true, MaxRepairs: 1, ProbationDays: 2}
-	f := New(cfg)
+	r := newTestRunner(t, cfg)
+	f := r.Fleet()
 	const id = "m00007"
 	if err := f.InjectDefect(id, 1, hotDefect(4)); err != nil {
 		t.Fatal(err)
@@ -126,7 +128,7 @@ func TestLifecycleRecidivistRemovedPermanently(t *testing.T) {
 	}
 	// Long after RepairAfterDays, the removal must hold: no ticket ever
 	// resurrects the machine.
-	f.Run(20)
+	r.Run(20)
 	if rec, _ := f.Lifecycle().State(id); rec.State != lifecycle.Removed {
 		t.Fatalf("removed machine resurrected to %s", rec.State)
 	}
@@ -176,7 +178,7 @@ func TestLifecycleDeterministicAcrossParallelism(t *testing.T) {
 
 func TestCordonReleaseEvents(t *testing.T) {
 	cfg := lifecycleConfig()
-	f := New(cfg)
+	f := newFleet(cfg)
 	const id = "m00003"
 	if err := f.CordonMachine(id); err != nil {
 		t.Fatalf("CordonMachine: %v", err)
@@ -205,7 +207,7 @@ func TestCordonReleaseEvents(t *testing.T) {
 	}
 
 	// The verbs also work with the control plane off — pure sched effect.
-	plain := New(testConfig())
+	plain := newFleet(testConfig())
 	if err := plain.CordonMachine(id); err != nil {
 		t.Fatalf("cordon without lifecycle: %v", err)
 	}
@@ -218,7 +220,7 @@ func TestCordonReleaseEvents(t *testing.T) {
 }
 
 func TestMaintenanceDrainUpdatesLedger(t *testing.T) {
-	f := New(lifecycleConfig())
+	f := newFleet(lifecycleConfig())
 	const id = "m00011"
 	if err := f.DrainMachine(id); err != nil {
 		t.Fatal(err)

@@ -2,43 +2,14 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// defaultParallelism is the worker count used by fleets built through the
-// compatibility entry points (New + Fleet.Run); 0 means GOMAXPROCS. It
-// exists so command-line tools can set a process-wide policy without
-// threading an option through every experiment driver. Results do not
-// depend on it — only wall-clock time does.
-var defaultParallelism int64
-
-// SetDefaultParallelism sets the worker count newly built fleets use when
-// no Runner option overrides it. n <= 0 restores the default
-// (runtime.GOMAXPROCS).
-func SetDefaultParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	atomic.StoreInt64(&defaultParallelism, int64(n))
-}
-
-// DefaultParallelism returns the process-wide default fleet worker count.
-func DefaultParallelism() int {
-	if n := atomic.LoadInt64(&defaultParallelism); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Runner is the public entry point for fleet simulation. It owns a Fleet
 // and the run policy around it: how many workers each simulated day is
-// sharded across, and who observes the daily telemetry. The legacy
-// New(cfg)/Fleet.Run path remains as a thin compatibility layer over the
-// same machinery.
+// sharded across, and who observes the daily telemetry.
 //
 //	r, err := fleet.NewRunner(cfg,
 //	        fleet.WithParallelism(8),
@@ -172,15 +143,15 @@ func NewRunner(cfg Config, opts ...RunnerOption) (*Runner, error) {
 			return nil, err
 		}
 	}
-	f := New(cfg)
+	f := newFleet(cfg)
 	if o.parallelism > 0 {
 		f.parallelism = o.parallelism
 	}
 	if o.metrics != nil {
-		f.SetMetrics(o.metrics)
+		f.setMetrics(o.metrics)
 	}
 	if o.trace != nil {
-		f.SetTrace(o.trace)
+		f.trace = o.trace
 	}
 	r := &Runner{fleet: f, metrics: o.metrics}
 	if o.metrics != nil {

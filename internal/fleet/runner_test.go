@@ -76,20 +76,27 @@ func TestRunnerObserverSeesEveryDay(t *testing.T) {
 	}
 }
 
-func TestDefaultParallelism(t *testing.T) {
-	defer SetDefaultParallelism(0)
-	if got := DefaultParallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("unset default = %d, want GOMAXPROCS", got)
+func TestRunnerParallelismDefaultsToGOMAXPROCS(t *testing.T) {
+	cfg := testConfig()
+	cfg.Machines = 10
+	if got := newTestRunner(t, cfg).Parallelism(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default parallelism = %d, want GOMAXPROCS", got)
 	}
-	SetDefaultParallelism(3)
-	if got := DefaultParallelism(); got != 3 {
-		t.Fatalf("default = %d, want 3", got)
+	r, err := NewRunner(cfg, WithParallelism(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if f := New(testConfig()); f.parallelism != 3 {
-		t.Fatalf("New picked up %d, want 3", f.parallelism)
+	if got := r.Parallelism(); got != 3 {
+		t.Fatalf("parallelism = %d, want 3", got)
 	}
-	SetDefaultParallelism(-5) // negative resets
-	if got := DefaultParallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("reset default = %d, want GOMAXPROCS", got)
+}
+
+// newTestRunner builds a runner for cfg at the default parallelism.
+func newTestRunner(t testing.TB, cfg Config) *Runner {
+	t.Helper()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return r
 }

@@ -57,7 +57,7 @@ func (c TaskRunConfig) withDefaults() TaskRunConfig {
 	return c
 }
 
-// buildTaskRun constructs the supervisor during New. Only called when
+// buildTaskRun constructs the supervisor during newFleet. Only called when
 // the phase is enabled, so the master RNG is untouched otherwise.
 func (f *Fleet) buildTaskRun() {
 	tcfg := f.cfg.TaskRun.withDefaults()

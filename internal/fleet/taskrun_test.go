@@ -77,8 +77,8 @@ func TestTaskRunDisabledForksNothing(t *testing.T) {
 	base.Machines = 120
 	base.CoresPerMachine = 8
 	base.DefectsPerMachine = 0.1
-	a := New(base).Run(5)
-	b := New(base).Run(5)
+	a := newTestRunner(t, base).Run(5)
+	b := newTestRunner(t, base).Run(5)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("baseline run not reproducible")
 	}
@@ -97,7 +97,7 @@ func TestTaskRunPhaseFeedsQuarantine(t *testing.T) {
 	cfg := trTestConfig()
 	cfg.TaskRun.Tasks = 4
 	cfg.TaskRun.DivergenceThreshold = 1
-	f := New(cfg)
+	f := newFleet(cfg)
 	injectDeterministic(f, 4)
 	var signals, reports int
 	for d := 0; d < 5; d++ {

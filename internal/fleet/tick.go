@@ -654,17 +654,6 @@ func (f *Fleet) machineByID(id string) *Machine {
 	return f.machines[n]
 }
 
-// Run advances the simulation the given number of days and returns the
-// daily series. It is the compatibility entry point; new code should use
-// NewRunner, which adds parallelism and observer options.
-func (f *Fleet) Run(days int) []DayStats {
-	out := make([]DayStats, 0, days)
-	for i := 0; i < days; i++ {
-		out = append(out, f.Step())
-	}
-	return out
-}
-
 // WeeklyRate aggregates a daily series into per-machine weekly report
 // rates — the two curves of Fig. 1.
 type WeeklyRate struct {

@@ -74,14 +74,6 @@ func ServerSink(s *report.Server) SignalSink {
 	}
 }
 
-// ServerBatchSink batch-delivers signals in-process to a report server.
-func ServerBatchSink(s *report.Server) BatchSignalSink {
-	return func(sigs []detect.Signal) error {
-		s.IngestBatch(sigs)
-		return nil
-	}
-}
-
 // ClientSink delivers signals to a remote ceereportd over HTTP via the
 // report client (which retries transport failures with backoff).
 func ClientSink(c *report.Client) SignalSink {
@@ -348,9 +340,6 @@ func NewTolerant(db *DB, cfg TolerantConfig) *TolerantDB {
 	}
 	return t
 }
-
-// DB returns the wrapped store (single-goroutine access only).
-func (t *TolerantDB) DB() *DB { return t.db }
 
 // SetMetrics replaces the metrics registry (nil disables recording).
 func (t *TolerantDB) SetMetrics(reg *obs.Registry) {

@@ -326,9 +326,6 @@ func (w *WAL) Err() error { return w.lastErr }
 // Seq returns the sequence number of the last durable record.
 func (w *WAL) Seq() uint64 { return w.seq }
 
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
 // Close syncs and closes the underlying file.
 func (w *WAL) Close() error {
 	if w.f == nil {

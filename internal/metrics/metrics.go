@@ -144,7 +144,7 @@ type CoveragePoint struct {
 // the seed). The restriction applies to confession screens too: a defect
 // class with no test yet is a "zero-day" CEE that cannot be confirmed
 // (§4's point).
-func CoverageCurve(base fleet.Config, corpusSizes []int, days int) []CoveragePoint {
+func CoverageCurve(base fleet.Config, corpusSizes []int, days int) ([]CoveragePoint, error) {
 	all := corpus.All()
 	out := make([]CoveragePoint, 0, len(corpusSizes))
 	for _, n := range corpusSizes {
@@ -154,14 +154,17 @@ func CoverageCurve(base fleet.Config, corpusSizes []int, days int) []CoveragePoi
 		if n <= len(all) {
 			cfg.ConfessionConfig.Workloads = all[:n]
 		}
-		f := fleet.New(cfg)
-		f.Run(days)
-		rep := Detection(f, days)
+		r, err := fleet.NewRunner(cfg)
+		if err != nil {
+			return nil, err
+		}
+		r.Run(days)
+		rep := Detection(r.Fleet(), days)
 		out = append(out, CoveragePoint{
 			Workloads:        n,
 			DetectedFraction: rep.DetectedFraction(),
 			Quarantined:      rep.Quarantined,
 		})
 	}
-	return out
+	return out, nil
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/screen"
 )
 
-func testFleetConfig() fleet.Config {
+func smallConfig() fleet.Config {
 	cfg := fleet.DefaultConfig()
 	cfg.Machines = 400
 	cfg.CoresPerMachine = 16
@@ -32,7 +32,7 @@ func TestDetectionDeterministicAcrossParallelism(t *testing.T) {
 		ledger []string
 	}
 	run := func(parallelism int) outcome {
-		r, err := fleet.NewRunner(testFleetConfig(), fleet.WithParallelism(parallelism))
+		r, err := fleet.NewRunner(smallConfig(), fleet.WithParallelism(parallelism))
 		if err != nil {
 			t.Fatalf("NewRunner: %v", err)
 		}
@@ -61,9 +61,13 @@ func TestDetectionDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestDetectionReport(t *testing.T) {
-	f := fleet.New(testFleetConfig())
+	r, err := fleet.NewRunner(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	const days = 45
-	f.Run(days)
+	r.Run(days)
+	f := r.Fleet()
 	rep := Detection(f, days)
 	if rep.TotalDefective != len(f.Defects()) {
 		t.Fatalf("total = %d, want %d", rep.TotalDefective, len(f.Defects()))
@@ -103,7 +107,11 @@ func TestDetectedFractionEmpty(t *testing.T) {
 }
 
 func TestOnsetDistribution(t *testing.T) {
-	f := fleet.New(testFleetConfig())
+	r, err := fleet.NewRunner(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := r.Fleet()
 	onsets := OnsetDistributionDays(f)
 	if len(onsets) != len(f.Defects()) {
 		t.Fatalf("onsets = %d", len(onsets))
@@ -158,9 +166,12 @@ func TestAppVisibilityEmpty(t *testing.T) {
 func TestCoverageCurveMonotoneTrend(t *testing.T) {
 	// E12: more corpus coverage should never dramatically reduce the
 	// detected fraction; typically it rises.
-	cfg := testFleetConfig()
+	cfg := smallConfig()
 	cfg.Machines = 300
-	pts := CoverageCurve(cfg, []int{1, 13}, 30)
+	pts, err := CoverageCurve(cfg, []int{1, 13}, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}

@@ -17,9 +17,9 @@ type traceOutcome struct {
 	jsonl  string
 }
 
-func runTraced(t *testing.T, parallelism, days int) traceOutcome {
+func tracedRun(t *testing.T, parallelism, days int) traceOutcome {
 	t.Helper()
-	cfg := testFleetConfig()
+	cfg := smallConfig()
 	// A denser defect population plus the RMA loop makes the trace carry
 	// release/repair events alongside live quarantines, so the ledger
 	// replay in DetectionFromTrace is actually exercised.
@@ -47,7 +47,7 @@ func runTraced(t *testing.T, parallelism, days int) traceOutcome {
 // byte-identical across worker counts.
 func TestDetectionFromTraceMatchesGroundTruth(t *testing.T) {
 	const days = 45
-	serial := runTraced(t, 1, days)
+	serial := tracedRun(t, 1, days)
 	if serial.report.Quarantined == 0 {
 		t.Fatal("serial run quarantined nothing; test would be vacuous")
 	}
@@ -68,7 +68,7 @@ func TestDetectionFromTraceMatchesGroundTruth(t *testing.T) {
 			serial.report, got)
 	}
 
-	par := runTraced(t, 4, days)
+	par := tracedRun(t, 4, days)
 	if par.jsonl != serial.jsonl {
 		t.Error("JSONL trace diverged between parallelism 1 and 4")
 	}

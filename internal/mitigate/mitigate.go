@@ -54,9 +54,6 @@ func NewExecutor(cores []*fault.Core, seed uint64) *Executor {
 	return &Executor{cores: append([]*fault.Core(nil), cores...), rng: xrand.New(seed)}
 }
 
-// PoolSize returns the number of cores available.
-func (x *Executor) PoolSize() int { return len(x.cores) }
-
 // pick selects n distinct cores, excluding indices in excl.
 func (x *Executor) pick(n int, excl map[int]bool) ([]int, error) {
 	avail := make([]int, 0, len(x.cores))

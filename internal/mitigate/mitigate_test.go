@@ -343,12 +343,6 @@ func TestCheckpointStatePassedBetweenSteps(t *testing.T) {
 	}
 }
 
-func TestPoolSize(t *testing.T) {
-	if NewExecutor(healthyPool(7, 25), 26).PoolSize() != 7 {
-		t.Fatal("PoolSize wrong")
-	}
-}
-
 func BenchmarkOnce(b *testing.B) {
 	x := NewExecutor(healthyPool(4, 1), 2)
 	for i := 0; i < b.N; i++ {

@@ -29,31 +29,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// FromConfig wraps an already-built fleet.Config in a generated scenario
-// — the bridge that lets the legacy flag-pile CLI ride the scenario
-// runner. The config is used verbatim; only Seed is overridable.
-func FromConfig(name string, cfg fleet.Config, days int) *Scenario {
-	return &Scenario{
-		Name: name,
-		Days: days,
-		Fleet: FleetDef{
-			Machines: cfg.Machines,
-			Cores:    cfg.CoresPerMachine,
-		},
-		base: &cfg,
-	}
-}
-
 // Compile lowers the scenario onto a fleet.Config: the defaults, with
 // every field the file actually set overriding.
 func (s *Scenario) Compile() (fleet.Config, error) {
-	if s.base != nil {
-		cfg := *s.base
-		if s.Seed != nil {
-			cfg.Seed = *s.Seed
-		}
-		return cfg, nil
-	}
 	cfg := fleet.DefaultConfig()
 	cfg.Machines = s.Fleet.Machines
 	cfg.CoresPerMachine = s.Fleet.Cores

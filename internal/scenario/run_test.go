@@ -154,38 +154,3 @@ func TestCorpusAssertions(t *testing.T) {
 		})
 	}
 }
-
-// TestFromConfigBridgesLegacyRuns covers the experiments-CLI bridge: a
-// prebuilt config wrapped by FromConfig must run and honour its seed
-// override.
-func TestFromConfigBridgesLegacyRuns(t *testing.T) {
-	s, err := Parse("base.yaml", []byte(`
-name: base
-seed: 3
-days: 5
-fleet:
-  machines: 30
-  cores_per_machine: 4
-  defects_per_machine: 0.1
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := FromConfig("wrapped", cfg, 5)
-	direct := runAt(t, s, 2)
-	bridged := runAt(t, wrapped, 2)
-	if !reflect.DeepEqual(direct.Days, bridged.Days) {
-		t.Errorf("FromConfig run diverges from direct run")
-	}
-	seed := uint64(4)
-	wrapped2 := FromConfig("wrapped2", cfg, 5)
-	wrapped2.Seed = &seed
-	other := runAt(t, wrapped2, 2)
-	if reflect.DeepEqual(direct.Days, other.Days) {
-		t.Errorf("seed override had no effect")
-	}
-}

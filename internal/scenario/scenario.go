@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/fault"
-	"repro/internal/fleet"
 )
 
 // Scenario is one declarative simulation: who the fleet is, what happens
@@ -47,10 +46,6 @@ type Scenario struct {
 	Workloads   Workloads
 	Events      []Event
 	Assert      Assertions
-
-	// base, when set, bypasses FleetDef compilation entirely — used by
-	// FromConfig to map legacy flag piles onto a generated scenario.
-	base *fleet.Config
 }
 
 // FleetDef shapes the simulated fleet. Machines and Cores are required;

@@ -1,11 +1,5 @@
 package screen
 
-import (
-	"repro/internal/corpus"
-	"repro/internal/fault"
-	"repro/internal/obs"
-)
-
 // ConfigOption configures a screening Config under construction — the
 // single way the repository composes screening sessions. The Config struct
 // remains public for wire/struct compatibility, but new code should build
@@ -23,12 +17,6 @@ func NewConfig(opts ...ConfigOption) Config {
 	return cfg
 }
 
-// WithWorkloads restricts the session to a corpus subset (nil means the
-// full corpus).
-func WithWorkloads(ws []corpus.Workload) ConfigOption {
-	return func(c *Config) { c.Workloads = ws }
-}
-
 // WithPasses repeats the corpus the given number of times per operating
 // point; intermittent defects need repetition.
 func WithPasses(n int) ConfigOption {
@@ -42,11 +30,6 @@ func WithSweep(fSteps, vSteps, tSteps int) ConfigOption {
 	return func(c *Config) { c.Points = SweepPoints(fSteps, vSteps, tSteps) }
 }
 
-// WithPoints screens at an explicit set of operating points.
-func WithPoints(pts []fault.OperatingPoint) ConfigOption {
-	return func(c *Config) { c.Points = pts }
-}
-
 // WithMaxOps bounds the session's engine-operation budget (0 = unlimited).
 func WithMaxOps(n uint64) ConfigOption {
 	return func(c *Config) { c.MaxOps = n }
@@ -57,10 +40,4 @@ func WithMaxOps(n uint64) ConfigOption {
 // budget and collect every failure — what forensics and SafeTasks need).
 func WithStopOnDetect(stop bool) ConfigOption {
 	return func(c *Config) { c.StopOnDetect = stop }
-}
-
-// WithMetrics routes the session's screening telemetry (sessions, passes,
-// detections, ops) into reg. Nil records nothing.
-func WithMetrics(reg *obs.Registry) ConfigOption {
-	return func(c *Config) { c.Metrics = reg }
 }

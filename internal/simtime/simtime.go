@@ -16,7 +16,6 @@ const (
 	Minute      = 60 * Second
 	Hour        = 60 * Minute
 	Day         = 24 * Hour
-	Week        = 7 * Day
 	Year        = 365 * Day
 )
 

@@ -51,9 +51,6 @@ type SignalSink = kvdb.SignalSink
 // ServerSink adapts an in-process report server into a SignalSink.
 var ServerSink = kvdb.ServerSink
 
-// ClientSink adapts a report HTTP client into a SignalSink.
-var ClientSink = kvdb.ClientSink
-
 // Work is a granule body: a computation whose nondeterministic inputs all
 // cross the replay boundary, making it re-executable from a tape.
 type Work = mitigate.ReplayComputation

@@ -108,9 +108,6 @@ func (r *RNG) ForkStringInto(prefix, rest string, dst *RNG) {
 	r.ForkInto(fnv1a(fnv1a(fnvOffset64, prefix), rest), dst)
 }
 
-// Int63 returns a non-negative random int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
