@@ -26,6 +26,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/parallel"
 )
 
 // Record kinds. The zero kind is an ordinary state transition; the others
@@ -133,61 +135,60 @@ func frame(t Transition) ([]byte, error) {
 	return line, nil
 }
 
-// parseLine validates one newline-stripped line against the expected
-// sequence number. ok=false means the bytes do not form a durable record.
-func parseLine(line []byte, wantSeq uint64) (Transition, bool) {
-	var t Transition
-	if len(line) < 10 || line[8] != ' ' {
-		return t, false
-	}
-	sum, err := hex.DecodeString(string(line[:8]))
-	if err != nil {
-		return t, false
-	}
-	payload := line[9:]
-	crc := crc32.Checksum(payload, castagnoli)
-	want := uint32(sum[0])<<24 | uint32(sum[1])<<16 | uint32(sum[2])<<8 | uint32(sum[3])
-	if crc != want {
-		return t, false
-	}
-	if err := json.Unmarshal(payload, &t); err != nil {
-		return t, false
-	}
-	if t.Seq != wantSeq {
-		return t, false
-	}
-	return t, true
-}
+// readChunk is the number of lines one replay worker decodes per work
+// item: large enough that claiming an item costs nothing next to the JSON
+// decoding, small enough that two cores share a 200k-record log evenly.
+const readChunk = 2048
 
 // readLog scans data into the durable record prefix. It returns the
 // replayable transitions, the byte length of that valid prefix, and an
 // error only for mid-file corruption (an invalid record with valid records
 // after it — torn tails are fine and reported via the shorter goodLen).
+//
+// The log is split into lines once, the lines are decoded in parallel into
+// one preallocated slice (each worker writes only its own slots), and a
+// serial pass then applies the validity rules in order, so the result does
+// not depend on the worker count. A slot whose Seq is not its line number
+// (1-based) is invalid: parseAnySeq leaves a zero Seq on failure.
 func readLog(data []byte) (recs []Transition, goodLen int, err error) {
-	off := 0
-	for off < len(data) {
+	ends := make([]int, 0, bytes.Count(data, []byte{'\n'}))
+	for off := 0; ; {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
-			// Unterminated final line: torn tail by definition.
-			return recs, goodLen, nil
+			// Anything after the last newline is an unterminated final
+			// line: torn tail by definition, never decoded.
+			break
 		}
-		line := data[off : off+nl]
-		t, ok := parseLine(line, uint64(len(recs))+1)
-		if !ok {
-			// The line is complete (newline-terminated) but invalid. If
-			// anything after it parses as a record, the damage is in the
-			// middle of the log — refuse it.
-			rest := data[off+nl+1:]
-			if tailHoldsRecord(rest, uint64(len(recs))+1) {
-				return nil, 0, fmt.Errorf("lifecycle: WAL corrupt at byte %d: invalid record followed by %d more bytes of log", off, len(rest))
-			}
-			return recs, goodLen, nil
-		}
-		recs = append(recs, t)
 		off += nl + 1
-		goodLen = off
+		ends = append(ends, off)
 	}
-	return recs, goodLen, nil
+	parsed := make([]Transition, len(ends))
+	nChunks := (len(ends) + readChunk - 1) / readChunk
+	parallel.ForEach(0, nChunks, func(c int) {
+		hi := min((c+1)*readChunk, len(ends))
+		for i := c * readChunk; i < hi; i++ {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			parsed[i], _ = parseAnySeq(data[start : ends[i]-1])
+		}
+	})
+	for i := range parsed {
+		if parsed[i].Seq == uint64(i)+1 {
+			goodLen = ends[i]
+			continue
+		}
+		// The line is complete (newline-terminated) but invalid. If
+		// anything after it parses as a record, the damage is in the
+		// middle of the log — refuse it.
+		rest := data[ends[i]:]
+		if tailHoldsRecord(rest, uint64(i)+1) {
+			return nil, 0, fmt.Errorf("lifecycle: WAL corrupt at byte %d: invalid record followed by %d more bytes of log", goodLen, len(rest))
+		}
+		return parsed[:i], goodLen, nil
+	}
+	return parsed, goodLen, nil
 }
 
 // tailHoldsRecord reports whether rest contains at least one structurally
@@ -200,8 +201,8 @@ func tailHoldsRecord(rest []byte, minSeq uint64) bool {
 			return false
 		}
 		line := rest[:nl]
-		// Accept any seq >= minSeq as evidence of a later record; parseLine
-		// pins one exact seq, so probe structurally then check range.
+		// Accept any seq >= minSeq as evidence of a later record: probe
+		// structurally, then check the range.
 		if t, ok := parseAnySeq(line); ok && t.Seq >= minSeq {
 			return true
 		}
@@ -210,14 +211,16 @@ func tailHoldsRecord(rest []byte, minSeq uint64) bool {
 	return false
 }
 
-// parseAnySeq is parseLine without the sequence check.
+// parseAnySeq validates one newline-stripped line's frame and decodes its
+// payload, whatever its sequence number. ok=false (with a zero Transition)
+// means the bytes do not form a record.
 func parseAnySeq(line []byte) (Transition, bool) {
 	var t Transition
 	if len(line) < 10 || line[8] != ' ' {
 		return t, false
 	}
-	sum, err := hex.DecodeString(string(line[:8]))
-	if err != nil {
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
 		return t, false
 	}
 	payload := line[9:]
@@ -225,7 +228,9 @@ func parseAnySeq(line []byte) (Transition, bool) {
 		return t, false
 	}
 	if err := json.Unmarshal(payload, &t); err != nil {
-		return t, false
+		// A type error can leave fields half-decoded; readLog relies on a
+		// failed line carrying a zero Seq.
+		return Transition{}, false
 	}
 	return t, true
 }
@@ -244,7 +249,7 @@ func OpenWALFS(fsys FS, path string) (*WAL, []Transition, RecoverInfo, error) {
 	if err != nil {
 		return nil, nil, RecoverInfo{}, err
 	}
-	data, err := io.ReadAll(f)
+	data, err := readAll(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, RecoverInfo{}, err
@@ -267,6 +272,23 @@ func OpenWALFS(fsys FS, path string) (*WAL, []Transition, RecoverInfo, error) {
 	}
 	w := &WAL{f: f, path: path, seq: uint64(len(recs)), off: int64(goodLen)}
 	return w, recs, info, nil
+}
+
+// readAll reads the whole file in one buffer sized from its length,
+// leaving the offset at the end of the data.
+func readAll(f File) ([]byte, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // Append assigns the next sequence number, writes the framed record, and

@@ -2,8 +2,11 @@ package lifecycle
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -11,7 +14,7 @@ import (
 // repair loop, an operator maintenance drain, a suspect that is exonerated,
 // and a recidivist that ends removed. Every op may append several WAL
 // records (Drain cordons first).
-func script(t *testing.T, m *Manager) {
+func script(t testing.TB, m *Manager) {
 	t.Helper()
 	ops := []func() (State, error){
 		func() (State, error) { return m.MarkSuspect("m00001", 1, "nominated score=8.2") },
@@ -45,7 +48,7 @@ func script(t *testing.T, m *Manager) {
 
 // writeScriptWAL runs the script against a WAL-backed manager and returns
 // the log bytes.
-func writeScriptWAL(t *testing.T) []byte {
+func writeScriptWAL(t testing.TB) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "script.wal")
 	m, _, err := Open(path, Options{})
@@ -235,7 +238,7 @@ func TestMidFileCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip pins the frame format: parseLine(frame(t)) == t.
+// TestFrameRoundTrip pins the frame format: parseAnySeq(frame(t)) == t.
 func TestFrameRoundTrip(t *testing.T) {
 	tr := Transition{Seq: 7, Day: 3, Machine: "m00042", From: "healthy", To: "cordoned",
 		Reason: "weird \"quotes\" and\ttabs", Actor: "op"}
@@ -246,8 +249,158 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !bytes.HasSuffix(line, []byte("\n")) {
 		t.Fatal("frame must be newline-terminated")
 	}
-	got, ok := parseLine(bytes.TrimSuffix(line, []byte("\n")), 7)
-	if !ok || got != tr {
+	got, ok := parseAnySeq(bytes.TrimSuffix(line, []byte("\n")))
+	if !ok || got.Seq != 7 || got != tr {
 		t.Fatalf("round trip: %+v ok=%v", got, ok)
 	}
+}
+
+// readLogSerial is the reference readLog: one line at a time, in order,
+// stopping at the first line that fails the frame or sequence check.
+// readLog must agree with it on every input at any worker count.
+func readLogSerial(data []byte) (recs []Transition, goodLen int, err error) {
+	off := 0
+	for off < len(data) {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			return recs, goodLen, nil
+		}
+		t, ok := parseAnySeq(data[off : off+nl])
+		if !ok || t.Seq != uint64(len(recs))+1 {
+			rest := data[off+nl+1:]
+			if tailHoldsRecord(rest, uint64(len(recs))+1) {
+				return nil, 0, fmt.Errorf("lifecycle: WAL corrupt at byte %d: invalid record followed by %d more bytes of log", off, len(rest))
+			}
+			return recs, goodLen, nil
+		}
+		recs = append(recs, t)
+		off += nl + 1
+		goodLen = off
+	}
+	return recs, goodLen, nil
+}
+
+// checkReadLog fails t unless readLog and readLogSerial agree on data:
+// same records, same goodLen, same error (or both none). It returns
+// readLog's error.
+func checkReadLog(t *testing.T, data []byte) error {
+	t.Helper()
+	recs, good, err := readLog(data)
+	wantRecs, wantGood, wantErr := readLogSerial(data)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("error %v, serial reference %v", err, wantErr)
+	}
+	if good != wantGood || good > len(data) {
+		t.Fatalf("goodLen %d, serial reference %d (len %d)", good, wantGood, len(data))
+	}
+	if len(recs) != len(wantRecs) {
+		t.Fatalf("%d records, serial reference %d", len(recs), len(wantRecs))
+	}
+	for i := range recs {
+		if recs[i] != wantRecs[i] {
+			t.Fatalf("record %d: %+v, serial reference %+v", i, recs[i], wantRecs[i])
+		}
+	}
+	return err
+}
+
+// frameLog frames n generated records with seq 1..n.
+func frameLog(t *testing.T, n int) []byte {
+	t.Helper()
+	var data []byte
+	for i := 1; i <= n; i++ {
+		line, err := frame(Transition{Seq: uint64(i), Day: i / 100,
+			Machine: fmt.Sprintf("m%05d", i%977), From: "healthy", To: "cordoned",
+			Reason: fmt.Sprintf("r%d", i), Actor: "gen"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, line...)
+	}
+	return data
+}
+
+// TestReadLogChunkBoundaries runs readLog against its serial reference on
+// a log spanning several decode chunks — the crash tests' script log fits
+// in one — with damage placed at and around the chunk boundaries.
+func TestReadLogChunkBoundaries(t *testing.T) {
+	data := frameLog(t, 3*readChunk+100)
+	ends := boundaries(data)
+	lineStart := func(i int) int {
+		if i == 0 {
+			return 0
+		}
+		return ends[i-1]
+	}
+	// reframe returns a copy of data with line i replaced by tr's frame.
+	reframe := func(i int, tr Transition) []byte {
+		line, err := frame(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := append([]byte(nil), data[:lineStart(i)]...)
+		out = append(out, line...)
+		return append(out, data[ends[i]:]...)
+	}
+	type tc struct {
+		name    string
+		img     []byte
+		wantErr bool
+	}
+	var cases []tc
+	for k := 1; k <= 3; k++ {
+		b := ends[k*readChunk-1]
+		for _, d := range []int{-1, 0, 1} {
+			cases = append(cases, tc{name: fmt.Sprintf("cut %+d at chunk boundary %d", d, k), img: data[:b+d]})
+		}
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[lineStart(readChunk)+3] ^= 0x01
+	cases = append(cases, tc{name: "crc flip on first line of chunk 2", img: flipped, wantErr: true})
+	const wrong = 2*readChunk + 5
+	bad, ok := parseAnySeq(data[lineStart(wrong) : ends[wrong]-1])
+	if !ok {
+		t.Fatalf("line %d of the generated log does not parse", wrong)
+	}
+	bad.Seq += 1000
+	cases = append(cases,
+		tc{name: "wrong seq in chunk 3", img: reframe(wrong, bad), wantErr: true},
+		tc{name: "torn final record", img: data[:len(data)-7]},
+		tc{name: "whole log", img: data},
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/procs=%d", c.name, procs), func(t *testing.T) {
+				if err := checkReadLog(t, c.img); (err != nil) != c.wantErr {
+					t.Fatalf("error %v, want error=%v", err, c.wantErr)
+				}
+			})
+		}
+	}
+}
+
+// FuzzReadLog checks that readLog never panics, never claims more than
+// the input as its valid prefix, and agrees with the serial reference.
+func FuzzReadLog(f *testing.F) {
+	data := writeScriptWAL(f)
+	bounds := boundaries(data)
+	f.Add(data)
+	f.Add(data[:bounds[len(bounds)-1]-4])
+	f.Add(data[:bounds[2]+11])
+	for _, off := range []int{2, bounds[2] + 2, bounds[5] + 20, len(data) - 3} {
+		img := append([]byte(nil), data...)
+		img[off] ^= 0x40
+		f.Add(img)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("\n\n"))
+	// Checksum-valid, but the JSON decodes seq before failing on a type
+	// error: the line is not a record, whatever seq it half-decoded.
+	payload := `{"seq":1,"day":"x"}`
+	f.Add([]byte(fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(payload), castagnoli), payload)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReadLog(t, data)
+	})
 }

@@ -152,6 +152,11 @@ func (s *Server) handleMachineVerb(w http.ResponseWriter, r *http.Request) {
 		_, err = s.life.Reintroduce(id, req.Day, req.Reason, req.Actor)
 	case "remove":
 		_, err = s.life.Remove(id, req.Day, req.Reason, req.Actor)
+		if err == nil {
+			// A removed machine never reports again: drop its tracker
+			// state so the daemon's memory stays bounded by the live fleet.
+			s.tracker.Forget(id)
+		}
 	case "assign":
 		if req.Pool == "" {
 			writeError(w, http.StatusBadRequest, "assign requires a pool")

@@ -137,6 +137,54 @@ func TestAssignVerb(t *testing.T) {
 	}
 }
 
+// TestRemoveForgetsTrackerState pins that a successful remove drops the
+// machine's tracker state (a removed machine never reports again, so
+// keeping it would grow the daemon without bound) and that a refused one
+// leaves the nomination in place.
+func TestRemoveForgetsTrackerState(t *testing.T) {
+	_, c, fs := newPoolService(t)
+	ctx := context.Background()
+	for _, id := range []string{"m", "n"} {
+		for i := 0; i < 6; i++ {
+			if err := c.Report(Report{Machine: id, Core: 3, Kind: "app-error", TimeSec: float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	suspected := func(id string) bool {
+		t.Helper()
+		sus, err := c.SuspectsContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sus {
+			if s.Machine == id {
+				return true
+			}
+		}
+		return false
+	}
+	if !suspected("m") || !suspected("n") {
+		t.Fatal("setup: m and n must both be nominated")
+	}
+
+	if _, err := c.MachineAction(ctx, "m", "remove", ActionRequest{Reason: "retired"}); err != nil {
+		t.Fatal(err)
+	}
+	if suspected("m") {
+		t.Fatal("removed machine still nominated")
+	}
+
+	// A remove the WAL cannot persist is refused and forgets nothing.
+	fs.FailWrites(1)
+	if _, err := c.MachineAction(ctx, "n", "remove", ActionRequest{}); err == nil {
+		t.Fatal("remove over a faulted WAL must fail")
+	}
+	if !suspected("n") {
+		t.Fatal("refused remove dropped the nomination")
+	}
+}
+
 func TestReadyzHealthy(t *testing.T) {
 	_, c, _ := newPoolService(t)
 	out, ready, err := c.Readyz(context.Background())

@@ -168,9 +168,9 @@ func (s *Server) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// accepted counts one accepted signal by kind.
-func (s *Server) accepted(kind detect.SignalKind) {
-	s.reg.Counter("ceereport_signals_accepted_total", obs.L("kind", kind.String())).Inc()
+// accepted counts n accepted signals of one kind.
+func (s *Server) accepted(kind detect.SignalKind, n int) {
+	s.reg.Counter("ceereport_signals_accepted_total", obs.L("kind", kind.String())).Add(float64(n))
 }
 
 // rejected counts one rejected /v1/report request by reason.
@@ -340,7 +340,7 @@ func (s *Server) notify(sigs []detect.Signal) {
 func (s *Server) Ingest(sig detect.Signal) {
 	s.tracker.Add(sig)
 	s.total.Add(1)
-	s.accepted(sig.Kind)
+	s.accepted(sig.Kind, 1)
 	s.notify([]detect.Signal{sig})
 }
 
@@ -353,8 +353,14 @@ func (s *Server) IngestBatch(sigs []detect.Signal) {
 	}
 	s.tracker.AddBatch(sigs)
 	s.total.Add(int64(len(sigs)))
-	for _, sig := range sigs {
-		s.accepted(sig.Kind)
+	// One counter lookup per run of equal kinds: series are still
+	// registered in first-seen order, and the sums stay exact integers.
+	run := 0
+	for i := 1; i <= len(sigs); i++ {
+		if i == len(sigs) || sigs[i].Kind != sigs[run].Kind {
+			s.accepted(sigs[run].Kind, i-run)
+			run = i
+		}
 	}
 	s.notify(sigs)
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -233,6 +234,29 @@ func TestIngestBatchMatchesSerialIngest(t *testing.T) {
 		if a[i].Machine != b[i].Machine || a[i].Core != b[i].Core || a[i].Reports != b[i].Reports {
 			t.Fatalf("suspect %d diverges: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+
+	// IngestBatch counts accepted signals once per run of equal kinds; the
+	// exposition must match one-at-a-time Ingest byte for byte, including
+	// for a kind outside the named range.
+	kinds := []detect.SignalKind{detect.SigCrash, detect.SigCrash, detect.SigMCE,
+		detect.SigCrash, detect.SigAppError, detect.SignalKind(99), detect.SigAppError}
+	mixed := make([]detect.Signal, len(kinds))
+	for i, k := range kinds {
+		mixed[i] = detect.Signal{Machine: "m", Core: i % 3, Kind: k, Time: simtime.Time(i)}
+	}
+	for _, s := range mixed {
+		one.Ingest(s)
+	}
+	batch.IngestBatch(mixed)
+	var wantText, gotText bytes.Buffer
+	one.Metrics().WritePrometheus(&wantText)
+	batch.Metrics().WritePrometheus(&gotText)
+	if !bytes.Equal(gotText.Bytes(), wantText.Bytes()) {
+		t.Fatalf("metrics diverge:\nbatch:\n%s\nserial:\n%s", gotText.Bytes(), wantText.Bytes())
+	}
+	if !strings.Contains(gotText.String(), `ceereport_signals_accepted_total{kind="crash"} 15`) {
+		t.Fatalf("crash count not 12+3:\n%s", gotText.Bytes())
 	}
 }
 
