@@ -30,7 +30,6 @@ var keptUnreferenced = map[string]string{
 	"internal/ecc.Mix64Golden":                  "native reference the ecc and selfcheck tests compare the engine-routed Mix64 against",
 	"internal/engine.Engine.And64":              "part of the engine op set whose semantics the engine tests pin",
 	"internal/engine.Engine.Rotl64":             "part of the engine op set whose semantics the engine tests pin",
-	"internal/fault.Defect.Active":              "activation predicate pinned by the fault tests",
 	"internal/forensics.ModeDB.Count":           "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
 	"internal/forensics.ModeDB.Known":           "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
 	"internal/forensics.ModeDB.Report":          "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -25,13 +26,22 @@ import (
 	"repro/internal/xrand"
 )
 
-func main() {
-	cores := flag.Int("cores", 8, "cores on the machine")
-	coreIdx := flag.Int("core", 2, "index of the defective core")
-	class := flag.String("class", "crypto-self-inverting", "defect class (see screener -list)")
-	mode := flag.String("mode", "core-removal", "isolation mode: machine-drain | core-removal | safe-tasks")
-	seed := flag.Uint64("seed", 42, "simulation seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, narrates to stdout, reports
+// errors to stderr, and returns the exit code (2 for a usage error, 1 for
+// a failed isolation).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mercury", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cores := fs.Int("cores", 8, "cores on the machine")
+	coreIdx := fs.Int("core", 2, "index of the defective core")
+	class := fs.String("class", "crypto-self-inverting", "defect class (see screener -list)")
+	mode := fs.String("mode", "core-removal", "isolation mode: machine-drain | core-removal | safe-tasks")
+	seed := fs.Uint64("seed", 42, "simulation seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var qmode quarantine.Mode
 	switch *mode {
@@ -42,22 +52,22 @@ func main() {
 	case "safe-tasks":
 		qmode = quarantine.SafeTasks
 	default:
-		fmt.Fprintf(os.Stderr, "mercury: unknown mode %q\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mercury: unknown mode %q\n", *mode)
+		return 2
 	}
 
 	m, err := core.NewMachine("host0", *cores, *seed, core.WithDefectClass(*coreIdx, *class))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mercury:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mercury:", err)
+		return 2
 	}
 	d := m.Core(*coreIdx).Defects[0]
-	fmt.Printf("staged defect on host0/%d: %v\n\n", *coreIdx, &d)
+	fmt.Fprintf(stdout, "staged defect on host0/%d: %v\n\n", *coreIdx, &d)
 
 	// Step 1: production incidents. Applications report suspect cores to
 	// the tracker; the defective core concentrates reports, while
 	// background software bugs spread evenly.
-	fmt.Println("[1] incident signals arriving at the report service")
+	fmt.Fprintln(stdout, "[1] incident signals arriving at the report service")
 	tracker := detect.NewTracker(*cores)
 	rng := xrand.New(*seed + 1)
 	for i := 0; i < 12; i++ {
@@ -68,38 +78,38 @@ func main() {
 		tracker.Add(detect.Signal{Machine: "host0", Core: rng.Intn(*cores),
 			Kind: detect.SigCrash, Time: 0})
 	}
-	fmt.Printf("    %d reports on host0 (12 from the bad core, 10 software-bug noise)\n\n", tracker.Reports("host0"))
+	fmt.Fprintf(stdout, "    %d reports on host0 (12 from the bad core, 10 software-bug noise)\n\n", tracker.Reports("host0"))
 
 	// Step 2: concentration test.
-	fmt.Println("[2] concentration analysis (evenly spread = software bug; concentrated = CEE)")
+	fmt.Fprintln(stdout, "[2] concentration analysis (evenly spread = software bug; concentrated = CEE)")
 	suspects := tracker.Suspects()
 	if len(suspects) == 0 {
-		fmt.Println("    no suspects nominated; exiting")
-		return
+		fmt.Fprintln(stdout, "    no suspects nominated; exiting")
+		return 0
 	}
 	for _, s := range suspects {
-		fmt.Printf("    suspect host0/core%d: %d reports, p-value %.2e, score %.1f\n",
+		fmt.Fprintf(stdout, "    suspect host0/core%d: %d reports, p-value %.2e, score %.1f\n",
 			s.Core, s.Reports, s.PValue, s.Score())
 	}
 	top := suspects[0]
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// Step 3: confession screening against the physical core.
-	fmt.Println("[3] confession screening (deep corpus sweep over f, V, T)")
+	fmt.Fprintln(stdout, "[3] confession screening (deep corpus sweep over f, V, T)")
 	conf := detect.Confess(m.Core(top.Core), screen.Deep(), xrand.New(*seed+2))
 	if !conf.Confirmed {
-		fmt.Println("    no confession extracted: exonerated (false accusation or limited reproducibility)")
-		return
+		fmt.Fprintln(stdout, "    no confession extracted: exonerated (false accusation or limited reproducibility)")
+		return 0
 	}
 	det := conf.Report.Detections[0]
-	fmt.Printf("    CONFESSED after %d ops: %s failed at f=%.1fGHz V=%.2fV T=%.0fC\n",
+	fmt.Fprintf(stdout, "    CONFESSED after %d ops: %s failed at f=%.1fGHz V=%.2fV T=%.0fC\n",
 		conf.Report.OpsToFirstDetection, det.Result.Workload,
 		det.Point.FreqGHz, det.Point.VoltageV, det.Point.TempC)
-	fmt.Printf("    detail: %s\n\n", det.Result.Detail)
+	fmt.Fprintf(stdout, "    detail: %s\n\n", det.Result.Detail)
 
 	// Step 3b: forensic classification — is this a known defect mode or
 	// a novel one needing a new automatable test (§6/§9)?
-	fmt.Println("[3b] forensic classification")
+	fmt.Fprintln(stdout, "[3b] forensic classification")
 	characterization := screen.Screen(m.Core(top.Core),
 		screen.NewConfig(screen.WithPasses(2), screen.WithSweep(2, 1, 2),
 			screen.WithStopOnDetect(false)), xrand.New(*seed+9))
@@ -111,17 +121,17 @@ func main() {
 		if db.Observe(mode) {
 			novelty = "NOVEL mode — time to write a new screening test"
 		}
-		fmt.Printf("    signature %s: %s\n\n", mode.Key(), novelty)
+		fmt.Fprintf(stdout, "    signature %s: %s\n\n", mode.Key(), novelty)
 	} else {
-		fmt.Println("    characterization produced no failures to classify")
+		fmt.Fprintln(stdout, "    characterization produced no failures to classify")
 	}
 
 	// Step 4: isolation.
-	fmt.Printf("[4] isolation (%s)\n", qmode)
+	fmt.Fprintf(stdout, "[4] isolation (%s)\n", qmode)
 	cluster := sched.NewCluster()
 	if _, err := cluster.AddMachine("host0", *cores); err != nil {
-		fmt.Fprintln(os.Stderr, "mercury:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mercury:", err)
+		return 1
 	}
 	for i := 0; i < *cores; i++ {
 		if _, err := cluster.Place(&sched.Task{ID: fmt.Sprintf("task%d", i),
@@ -134,26 +144,27 @@ func main() {
 		return detect.Confess(m.Core(top.Core), cfg, xrand.New(*seed+3))
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mercury:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mercury:", err)
+		return 1
 	}
 	if rec == nil {
-		fmt.Println("    policy declined to isolate")
-		return
+		fmt.Fprintln(stdout, "    policy declined to isolate")
+		return 0
 	}
 	cap := cluster.Capacity()
-	fmt.Printf("    isolated %v: %d tasks evicted, %d re-placed\n",
+	fmt.Fprintf(stdout, "    isolated %v: %d tasks evicted, %d re-placed\n",
 		rec.Ref, rec.EvictedTasks, rec.ReplacedTasks)
 	if len(rec.BannedUnits) > 0 {
-		fmt.Printf("    core restricted: banned units %v (safe tasks may still run)\n", rec.BannedUnits)
+		fmt.Fprintf(stdout, "    core restricted: banned units %v (safe tasks may still run)\n", rec.BannedUnits)
 	}
-	fmt.Printf("    capacity: %d schedulable, %d restricted, %d offline, %d drained\n",
+	fmt.Fprintf(stdout, "    capacity: %d schedulable, %d restricted, %d offline, %d drained\n",
 		cap.Schedulable, cap.Restricted, cap.Offline, cap.DrainedCores)
 
 	// Step 5: show the defect is really gone from the serving path.
-	fmt.Println("\n[5] verification: workload re-run on a healthy core")
+	fmt.Fprintln(stdout, "\n[5] verification: workload re-run on a healthy core")
 	e := engine.New(m.Core((top.Core + 1) % *cores))
 	if e.Add64(2, 2) == 4 {
-		fmt.Println("    2 + 2 = 4 — the fleet counts again")
+		fmt.Fprintln(stdout, "    2 + 2 = 4 — the fleet counts again")
 	}
+	return 0
 }

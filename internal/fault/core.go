@@ -11,7 +11,7 @@ import (
 type CorruptionEvent struct {
 	Defect *Defect
 	Op     OpClass
-	Seq    uint64 // per-core operation sequence number
+	Seq    uint64 // per-core operation sequence number (TotalOps at the op)
 }
 
 // Core is the fault-model view of one CPU core: an optional set of defects
@@ -22,7 +22,10 @@ type CorruptionEvent struct {
 // executed and how many were corrupted. These are the denominators and
 // numerators for the §4 metrics.
 type Core struct {
-	ID      string
+	ID string
+	// Defects is fixed at NewCore, which computes the armed-op mask from
+	// it: appending to a live core's defects, or changing one's Unit,
+	// would leave their ops unarmed. Build a new core to change the set.
 	Defects []Defect
 	Point   OperatingPoint
 	Age     simtime.Time
@@ -32,7 +35,11 @@ type Core struct {
 	// OpCount and CorruptCount index by OpClass.
 	OpCount      [NumOpClasses]uint64
 	CorruptCount [NumOpClasses]uint64
-	seq          uint64
+
+	// armed has bit op set when some defect sits on op's unit. Decide
+	// pays for the defect loop only on armed ops; a healthy core has
+	// armed == 0.
+	armed uint16
 
 	// OnCorrupt, if non-nil, observes every ground-truth corruption.
 	OnCorrupt func(CorruptionEvent)
@@ -40,11 +47,12 @@ type Core struct {
 	// Per-defect activation rates cached for the current (Point, Age).
 	// Rate is a pure function of (defect, point, age) but costs an exp and
 	// often a pow; recomputing it on every operation dominated screening
-	// sessions. The cache is revalidated by value comparison on access, so
-	// direct writes to the exported Point/Age fields (operating-point
-	// sweeps, daily aging) invalidate it without any bookkeeping at the
-	// write sites. Cached values are the exact floats Rate returns, so the
-	// Bernoulli draw sequence is bit-identical with and without the cache.
+	// sessions. The cache is revalidated by value comparison when a defect
+	// triggers, so direct writes to the exported Point/Age fields
+	// (operating-point sweeps, daily aging) invalidate it without any
+	// bookkeeping at the write sites. Cached values are the exact floats
+	// Rate returns, so the Bernoulli draw sequence is bit-identical with
+	// and without the cache.
 	rates   []float64
 	ratePt  OperatingPoint
 	rateAge simtime.Time
@@ -60,8 +68,19 @@ func NewCore(id string, rng *xrand.RNG, defects ...Defect) *Core {
 		Point:   Nominal,
 		rng:     rng.ForkString("core:" + id),
 	}
+	for op, u := range unitOf {
+		for i := range c.Defects {
+			if c.Defects[i].Unit == u {
+				c.armed |= 1 << op
+			}
+		}
+	}
 	return c
 }
+
+// The armed mask needs one bit per op class: this fails to compile once
+// NumOpClasses outgrows it.
+const _ = uint16(1 << (NumOpClasses - 1))
 
 // Healthy reports whether the core has no defects at all.
 func (c *Core) Healthy() bool { return len(c.Defects) == 0 }
@@ -81,30 +100,30 @@ func (c *Core) Mercurial() bool {
 // first operand a, and returns the defect that fires for it, or nil.
 // At most one defect fires per operation (defects are checked in order).
 //
-// The healthy-core path is small enough to inline into the engine's
-// per-operation dispatch; the defective path lives in decideDefective.
+// Decide inlines into the engine's per-operation dispatch: a healthy core
+// and an op whose unit carries no defect both return after one mask test;
+// only armed ops call decideDefective.
 func (c *Core) Decide(op OpClass, a uint64) *Defect {
 	c.OpCount[op]++
-	c.seq++
-	if len(c.Defects) == 0 {
+	if c.armed>>op&1 == 0 {
 		return nil
 	}
 	return c.decideDefective(op, a)
 }
 
-// decideDefective checks each defect against one operation using cached
-// activation rates. The decision sequence per defect is unchanged from
-// Defect.Active — the Bernoulli draw happens iff the defect triggers and
-// 0 < rate < 1 — so the RNG stream is identical to the uncached path.
+// decideDefective checks each defect against one armed operation, unit
+// and pattern first, and validates the rate cache only for a defect that
+// triggers. The decision sequence per defect is the reference one — the
+// Bernoulli draw happens iff the defect triggers and 0 < rate < 1 — so
+// the RNG stream is identical to an uncached loop over every defect.
 func (c *Core) decideDefective(op OpClass, a uint64) *Defect {
-	if !c.rateOK || len(c.rates) != len(c.Defects) ||
-		c.Point != c.ratePt || c.Age != c.rateAge {
-		c.refreshRates()
-	}
 	for i := range c.Defects {
 		d := &c.Defects[i]
 		if !d.Triggers(op, a) {
 			continue
+		}
+		if !c.rateOK || c.Point != c.ratePt || c.Age != c.rateAge {
+			c.refreshRates()
 		}
 		r := c.rates[i]
 		if r <= 0 {
@@ -115,7 +134,7 @@ func (c *Core) decideDefective(op OpClass, a uint64) *Defect {
 		}
 		c.CorruptCount[op]++
 		if c.OnCorrupt != nil {
-			c.OnCorrupt(CorruptionEvent{Defect: d, Op: op, Seq: c.seq})
+			c.OnCorrupt(CorruptionEvent{Defect: d, Op: op, Seq: c.TotalOps()})
 		}
 		return d
 	}

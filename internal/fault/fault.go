@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/simtime"
-	"repro/internal/xrand"
 )
 
 // Unit identifies an execution unit within a core.
@@ -101,29 +100,27 @@ func (o OpClass) String() string {
 	return opNames[o]
 }
 
-// UnitOf maps each operation class to the execution unit that implements it.
-func UnitOf(op OpClass) Unit {
-	switch op {
-	case OpAdd, OpSub, OpLogic, OpShift, OpCmp:
-		return UnitALU
-	case OpMul:
-		return UnitMul
-	case OpDiv:
-		return UnitDiv
-	case OpFAdd, OpFMul:
-		return UnitFPU
-	case OpVec, OpCopy:
-		return UnitVec
-	case OpCrypto:
-		return UnitCrypto
-	case OpAtomic:
-		return UnitAtomic
-	case OpLoad, OpStore:
-		return UnitLSU
-	default:
-		return UnitALU
-	}
+// unitOf is UnitOf's table, indexed by OpClass.
+var unitOf = [NumOpClasses]Unit{
+	OpAdd:    UnitALU,
+	OpSub:    UnitALU,
+	OpMul:    UnitMul,
+	OpDiv:    UnitDiv,
+	OpLogic:  UnitALU,
+	OpShift:  UnitALU,
+	OpCmp:    UnitALU,
+	OpFAdd:   UnitFPU,
+	OpFMul:   UnitFPU,
+	OpVec:    UnitVec,
+	OpCopy:   UnitVec,
+	OpCrypto: UnitCrypto,
+	OpAtomic: UnitAtomic,
+	OpLoad:   UnitLSU,
+	OpStore:  UnitLSU,
 }
+
+// UnitOf maps each operation class to the execution unit that implements it.
+func UnitOf(op OpClass) Unit { return unitOf[op] }
 
 // OperatingPoint is the (f, V, T) state of a core. Frequency and voltage
 // are coupled in real parts (DVFS); the simulator exposes both because §5
@@ -295,21 +292,6 @@ func (d *Defect) Rate(pt OperatingPoint, age simtime.Time) float64 {
 		r = 0
 	}
 	return r
-}
-
-// Active decides whether the defect fires for one matching operation.
-func (d *Defect) Active(op OpClass, operandA uint64, pt OperatingPoint, age simtime.Time, rng *xrand.RNG) bool {
-	if !d.Triggers(op, operandA) {
-		return false
-	}
-	r := d.Rate(pt, age)
-	if r <= 0 {
-		return false
-	}
-	if r >= 1 {
-		return true
-	}
-	return rng.Bernoulli(r)
 }
 
 // CorruptResult applies the defect's transform to a correct result.

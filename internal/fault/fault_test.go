@@ -396,16 +396,178 @@ func TestNewCoreCopiesDefects(t *testing.T) {
 	}
 }
 
-func BenchmarkDecideHealthy(b *testing.B) {
-	c := NewCore("b0", xrand.New(1))
-	for i := 0; i < b.N; i++ {
-		c.Decide(OpAdd, uint64(i))
+// Active is the reference activation predicate: whether d fires for one
+// operation of class op with first operand a, at operating point pt and
+// core age. Core.Decide must make exactly the decisions, and the RNG
+// draws, that looping over Active in defect order makes.
+func (d *Defect) Active(op OpClass, operandA uint64, pt OperatingPoint, age simtime.Time, rng *xrand.RNG) bool {
+	if !d.Triggers(op, operandA) {
+		return false
+	}
+	r := d.Rate(pt, age)
+	if r <= 0 {
+		return false
+	}
+	if r >= 1 {
+		return true
+	}
+	return rng.Bernoulli(r)
+}
+
+// refCore is the reference decision loop: no caches, no mask, every
+// defect asked through Active on every operation.
+type refCore struct {
+	defects      []Defect
+	point        OperatingPoint
+	age          simtime.Time
+	rng          *xrand.RNG
+	opCount      [NumOpClasses]uint64
+	corruptCount [NumOpClasses]uint64
+	seq          uint64
+	events       []CorruptionEvent
+}
+
+func (r *refCore) decide(op OpClass, a uint64) *Defect {
+	r.opCount[op]++
+	r.seq++
+	for i := range r.defects {
+		d := &r.defects[i]
+		if d.Active(op, a, r.point, r.age, r.rng) {
+			r.corruptCount[op]++
+			r.events = append(r.events, CorruptionEvent{Defect: d, Op: op, Seq: r.seq})
+			return d
+		}
+	}
+	return nil
+}
+
+// defectIndex returns d's position in ds, or -1 for nil.
+func defectIndex(t *testing.T, ds []Defect, d *Defect) int {
+	t.Helper()
+	if d == nil {
+		return -1
+	}
+	for i := range ds {
+		if &ds[i] == d {
+			return i
+		}
+	}
+	t.Fatalf("defect %v is not one of the core's own", d)
+	return -2
+}
+
+// TestDecideMatchesReference drives a NewCore core and the reference loop
+// with the same seed and the same seeded op/operand stream, changing the
+// operating point and age mid-stream, and requires the same fired defect
+// on every op, the same counters and corruption events, and the RNG left
+// at the same position.
+func TestDecideMatchesReference(t *testing.T) {
+	hot := OperatingPoint{FreqGHz: 3.6, VoltageV: 0.9, TempC: 95}
+	slow := OperatingPoint{FreqGHz: 2.0, VoltageV: 0.85, TempC: 40}
+	points := []OperatingPoint{Nominal, hot, slow}
+	ages := []simtime.Time{0, simtime.Day, 3 * simtime.Day, 2 * simtime.Year}
+	pattern := func(d Defect) Defect {
+		d.PatternMask, d.PatternVal = 0x6, 0x2
+		return d
+	}
+
+	cases := map[string][]Defect{
+		"two on one unit": {
+			pattern(Defect{ID: "a", Unit: UnitALU, BaseRate: 0.4}),
+			{ID: "b", Unit: UnitALU, BaseRate: 0.2, Sens: Sensitivity{Freq: -1.5}},
+		},
+		"two on different units": {
+			{ID: "v", Unit: UnitVec, BaseRate: 0.3, Kind: CorruptWrongLane},
+			{ID: "f", Unit: UnitFPU, BaseRate: 0.1, Sens: Sensitivity{Temp: 0.5}},
+		},
+		"deterministic": {
+			pattern(Defect{ID: "c", Unit: UnitCrypto, Deterministic: true}),
+			{ID: "l", Unit: UnitLSU, Deterministic: true, Onset: simtime.Day},
+		},
+		"pre-onset": {
+			{ID: "late", Unit: UnitDiv, BaseRate: 0.5, Onset: 2 * simtime.Day, EscalatePerYear: 3},
+			{ID: "zero", Unit: UnitMul, BaseRate: 0},
+		},
+		"clamped to one": {
+			{ID: "hotmul", Unit: UnitMul, BaseRate: 0.6, Sens: Sensitivity{Temp: 2, Volt: 5}},
+			{ID: "old", Unit: UnitAtomic, BaseRate: 0.3, EscalatePerYear: 10},
+			{ID: "alu", Unit: UnitALU, BaseRate: 0.05},
+		},
+	}
+	for u := Unit(0); u < numUnits; u++ {
+		d := Defect{ID: u.String(), Unit: u, BaseRate: 0.3}
+		cases["unit "+u.String()] = []Defect{d}
+		cases["unit "+u.String()+" with pattern"] = []Defect{pattern(d)}
+	}
+
+	for name, defects := range cases {
+		t.Run(name, func(t *testing.T) {
+			const seed = 99
+			c := NewCore("eq", xrand.New(seed), defects...)
+			var events []CorruptionEvent
+			c.OnCorrupt = func(e CorruptionEvent) { events = append(events, e) }
+			ref := &refCore{defects: append([]Defect(nil), defects...), point: Nominal,
+				rng: xrand.New(seed).ForkString("core:eq")}
+
+			stream := xrand.New(7)
+			for i := 0; i < 40000; i++ {
+				if i%1000 == 0 {
+					c.Point = points[stream.Intn(len(points))]
+					c.Age = ages[stream.Intn(len(ages))]
+					ref.point, ref.age = c.Point, c.Age
+				}
+				op := OpClass(stream.Intn(int(NumOpClasses)))
+				a := stream.Uint64()
+				got, want := c.Decide(op, a), ref.decide(op, a)
+				if gi, wi := defectIndex(t, c.Defects, got), defectIndex(t, ref.defects, want); gi != wi {
+					t.Fatalf("op %d (%v, a=%#x): fired defect %d, reference %d", i, op, a, gi, wi)
+				}
+			}
+
+			if c.OpCount != ref.opCount || c.CorruptCount != ref.corruptCount {
+				t.Fatalf("counters: ops %v corrupt %v, reference ops %v corrupt %v",
+					c.OpCount, c.CorruptCount, ref.opCount, ref.corruptCount)
+			}
+			if len(events) != len(ref.events) {
+				t.Fatalf("%d corruption events, reference %d", len(events), len(ref.events))
+			}
+			for i, e := range events {
+				w := ref.events[i]
+				if defectIndex(t, c.Defects, e.Defect) != defectIndex(t, ref.defects, w.Defect) ||
+					e.Op != w.Op || e.Seq != w.Seq {
+					t.Fatalf("event %d = {%v %v %d}, reference {%v %v %d}",
+						i, e.Defect.ID, e.Op, e.Seq, w.Defect.ID, w.Op, w.Seq)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				if g, w := c.rng.Bernoulli(0.5), ref.rng.Bernoulli(0.5); g != w {
+					t.Fatalf("draw %d after the run differs: RNG streams out of step", i)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkDecideDefective(b *testing.B) {
-	c := NewCore("b1", xrand.New(1), Defect{Unit: UnitALU, BaseRate: 1e-6})
-	for i := 0; i < b.N; i++ {
-		c.Decide(OpAdd, uint64(i))
+// BenchmarkDecide times the three per-op paths: a healthy core, an op
+// whose unit carries no defect on a defective core (armed miss), and an
+// op on the defective unit that draws against the activation rate (armed
+// hit).
+func BenchmarkDecide(b *testing.B) {
+	d := Defect{Unit: UnitALU, BaseRate: 1e-6}
+	for _, bc := range []struct {
+		name    string
+		op      OpClass
+		defects []Defect
+	}{
+		{"healthy", OpAdd, nil},
+		{"armed-miss", OpFMul, []Defect{d}},
+		{"armed-hit", OpAdd, []Defect{d}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewCore("b", xrand.New(1), bc.defects...)
+			for i := 0; i < b.N; i++ {
+				c.Decide(bc.op, uint64(i))
+			}
+		})
 	}
 }

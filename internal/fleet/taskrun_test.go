@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/xrand"
 )
 
 // trTestConfig is a small defect-dense fleet with the taskrun workload
@@ -24,12 +25,19 @@ func trTestConfig() Config {
 // realistic, but a few-thousand-op granule would essentially never trip
 // one in an 8-day test. Tasks pin onto defect sites, so deterministic
 // silicon guarantees the checkpoint/retry path runs. Identical injection
-// on every compared fleet keeps determinism comparisons valid.
+// on every compared fleet keeps determinism comparisons valid. A core's
+// defects are fixed at fault.NewCore, so each site is rebuilt with the
+// extra defect and swapped in wherever the fleet holds it.
 func injectDeterministic(f *Fleet, n int) {
 	d := fault.Defect{ID: "inject-alu", Unit: fault.UnitALU,
 		Deterministic: true, Kind: fault.CorruptBitFlip, BitPos: 5}
 	for i := 0; i < n && i < len(f.defects); i++ {
-		f.defects[i].Site.Defects = append(f.defects[i].Site.Defects, d)
+		site := f.defects[i]
+		old := site.Site
+		core := fault.NewCore(old.ID, xrand.New(uint64(i)), append(old.Defects, d)...)
+		core.Point, core.Age = old.Point, old.Age
+		site.Site = core
+		f.siteMachines[i].Defective[site.Core] = core
 	}
 }
 
