@@ -14,6 +14,31 @@ func healthyEngine() *engine.Engine {
 	return engine.New(fault.NewCore("h", xrand.New(1)))
 }
 
+// loopingEngine's ALU carries a defect that never fires (rate 0): its
+// logic and shift ops are armed, so the engine-routed codes take their
+// per-op loops, yet every result is exact.
+func loopingEngine() *engine.Engine {
+	return engine.New(fault.NewCore("l", xrand.New(1), fault.Defect{ID: "idle", Unit: fault.UnitALU}))
+}
+
+// crc32cRef and crc64Ref are the table-driven byte loops: the references
+// the Golden forms (which call hash/crc32 and hash/crc64) are held to.
+func crc32cRef(data []byte) uint32 {
+	crc := uint32(0xFFFFFFFF)
+	for _, b := range data {
+		crc = crc>>8 ^ crc32cTable[byte(crc)^b]
+	}
+	return crc ^ 0xFFFFFFFF
+}
+
+func crc64Ref(data []byte) uint64 {
+	crc := ^uint64(0)
+	for _, b := range data {
+		crc = crc>>8 ^ crc64Table[byte(crc)^b]
+	}
+	return ^crc
+}
+
 func TestCRC32CMatchesStdlib(t *testing.T) {
 	// Our Castagnoli table must agree with hash/crc32.
 	table := crc32.MakeTable(crc32.Castagnoli)
@@ -22,28 +47,71 @@ func TestCRC32CMatchesStdlib(t *testing.T) {
 		data := make([]byte, n)
 		rng.Bytes(data)
 		want := crc32.Checksum(data, table)
-		if got := CRC32CGolden(data); got != want {
-			t.Fatalf("CRC32CGolden(%d bytes) = %#x, want %#x", n, got, want)
+		if got := crc32cRef(data); got != want {
+			t.Fatalf("table CRC32C(%d bytes) = %#x, want %#x", n, got, want)
 		}
 	}
 }
 
+// checkCodes compares every engine-routed code, on a healthy and on a
+// looping engine, and every Golden form with its table or loop reference.
+func checkCodes(t *testing.T, data []byte) {
+	t.Helper()
+	fnvLoop := FNV64a(loopingEngine(), data)
+	for name, e := range map[string]*engine.Engine{"healthy": healthyEngine(), "looping": loopingEngine()} {
+		if got, want := CRC32C(e, data), crc32cRef(data); got != want {
+			t.Fatalf("%s CRC32C(%d bytes) = %#x, table %#x", name, len(data), got, want)
+		}
+		if got, want := CRC64(e, data), crc64Ref(data); got != want {
+			t.Fatalf("%s CRC64(%d bytes) = %#x, table %#x", name, len(data), got, want)
+		}
+		if got := FNV64a(e, data); got != fnvLoop {
+			t.Fatalf("%s FNV64a(%d bytes) = %#x, per-op loop %#x", name, len(data), got, fnvLoop)
+		}
+		if Fletcher64(e, data) != Fletcher64Golden(data) {
+			t.Fatalf("%s Fletcher64 mismatch at n=%d", name, len(data))
+		}
+	}
+	if got, want := CRC32CGolden(data), crc32cRef(data); got != want {
+		t.Fatalf("CRC32CGolden(%d bytes) = %#x, table %#x", len(data), got, want)
+	}
+	if got, want := CRC64Golden(data), crc64Ref(data); got != want {
+		t.Fatalf("CRC64Golden(%d bytes) = %#x, table %#x", len(data), got, want)
+	}
+	if got := FNV64aGolden(data); got != fnvLoop {
+		t.Fatalf("FNV64aGolden(%d bytes) = %#x, per-op loop %#x", len(data), got, fnvLoop)
+	}
+}
+
 func TestEngineFormsMatchGoldenOnHealthyCore(t *testing.T) {
-	e := healthyEngine()
 	rng := xrand.New(3)
 	for _, n := range []int{0, 1, 5, 8, 100, 4096} {
 		data := make([]byte, n)
 		rng.Bytes(data)
-		if CRC32C(e, data) != CRC32CGolden(data) {
-			t.Fatalf("CRC32C mismatch at n=%d", n)
-		}
-		if CRC64(e, data) != CRC64Golden(data) {
-			t.Fatalf("CRC64 mismatch at n=%d", n)
-		}
-		if Fletcher64(e, data) != Fletcher64Golden(data) {
-			t.Fatalf("Fletcher64 mismatch at n=%d", n)
+		checkCodes(t, data)
+	}
+}
+
+func TestFNV64aKnownAnswers(t *testing.T) {
+	// FNV-1a 64 test vectors.
+	for in, want := range map[string]uint64{
+		"":       0xcbf29ce484222325,
+		"a":      0xaf63dc4c8601ec8c,
+		"foobar": 0x85944171f73967e8,
+	} {
+		if got := FNV64a(loopingEngine(), []byte(in)); got != want {
+			t.Fatalf("FNV64a(%q) = %#x, want %#x", in, got, want)
 		}
 	}
+}
+
+// FuzzBulkChecksums holds the natively computed checksums and
+// fingerprint to their table or per-op loop references on arbitrary bytes.
+func FuzzBulkChecksums(f *testing.F) {
+	for _, seed := range []string{"", "a", "hello, mercurial world", "\x00\xff\x00\xff\x00\xff\x00\xff\x01"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkCodes(t, data) })
 }
 
 func TestMix64MatchesGolden(t *testing.T) {

@@ -16,6 +16,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/fault"
 )
@@ -146,9 +147,23 @@ func (e *Engine) FMul(a, b float64) float64 {
 	return math.Float64frombits(e.alu(fault.OpFMul, math.Float64bits(a), bits))
 }
 
+// Bulk operations (the Vec ops and Copy) compute natively when their op
+// class is not armed on the core, then add the exact number of ops the
+// per-lane loop would have issued. Decide would have returned nil for
+// each of those ops without drawing a random number, so results, counts,
+// corruption events and RNG streams are the same either way; the per-op
+// loop runs only where a defect can fire.
+
 // VecXor computes dst[i] = a[i] ^ b[i] lane by lane through the vector
 // unit. Slices must have equal length.
 func (e *Engine) VecXor(dst, a, b []uint64) {
+	if !e.core.Armed(fault.OpVec) {
+		for i := range a {
+			dst[i] = a[i] ^ b[i]
+		}
+		e.core.OpCount[fault.OpVec] += uint64(len(a))
+		return
+	}
 	for i := range a {
 		dst[i] = e.alu(fault.OpVec, a[i], a[i]^b[i])
 	}
@@ -156,6 +171,13 @@ func (e *Engine) VecXor(dst, a, b []uint64) {
 
 // VecAdd computes dst[i] = a[i] + b[i] through the vector unit.
 func (e *Engine) VecAdd(dst, a, b []uint64) {
+	if !e.core.Armed(fault.OpVec) {
+		for i := range a {
+			dst[i] = a[i] + b[i]
+		}
+		e.core.OpCount[fault.OpVec] += uint64(len(a))
+		return
+	}
 	for i := range a {
 		dst[i] = e.alu(fault.OpVec, a[i], a[i]+b[i])
 	}
@@ -164,6 +186,13 @@ func (e *Engine) VecAdd(dst, a, b []uint64) {
 // VecSum reduces a through the vector unit.
 func (e *Engine) VecSum(a []uint64) uint64 {
 	var s uint64
+	if !e.core.Armed(fault.OpVec) {
+		for _, v := range a {
+			s += v
+		}
+		e.core.OpCount[fault.OpVec] += uint64(len(a))
+		return s
+	}
 	for i := range a {
 		s = e.alu(fault.OpVec, a[i], s+a[i])
 	}
@@ -177,6 +206,11 @@ func (e *Engine) Copy(dst, src []byte) int {
 	n := len(src)
 	if len(dst) < n {
 		n = len(dst)
+	}
+	if !e.core.Armed(fault.OpCopy) && !startsInside(dst[:n], src[:n]) {
+		copy(dst[:n], src[:n])
+		e.core.OpCount[fault.OpCopy] += uint64((n + 7) / 8)
+		return n
 	}
 	i := 0
 	for ; i+8 <= n; i += 8 {
@@ -194,6 +228,19 @@ func (e *Engine) Copy(dst, src []byte) int {
 		copy(dst[i:n], buf[:n-i])
 	}
 	return n
+}
+
+// startsInside reports whether dst begins strictly inside src: the one
+// aliasing under which Copy's forward word loop re-reads bytes it has
+// already written, so its result differs from the memmove that copy does.
+// Copy keeps the word loop for it.
+func startsInside(dst, src []byte) bool {
+	if len(dst) == 0 || len(src) == 0 {
+		return false
+	}
+	d := uintptr(unsafe.Pointer(unsafe.SliceData(dst)))
+	s := uintptr(unsafe.Pointer(unsafe.SliceData(src)))
+	return d > s && d < s+uintptr(len(src))
 }
 
 func le64(b []byte) uint64 {

@@ -111,6 +111,13 @@ func (c *Core) Decide(op OpClass, a uint64) *Defect {
 	return c.decideDefective(op, a)
 }
 
+// Armed reports whether a defect sits on op's unit, that is, whether an
+// operation of class op can ever be corrupted on this core. Bulk paths
+// that issue only unarmed ops may compute natively and add their op
+// counts in one step: Decide would return nil for every one of them
+// without drawing a random number. Armed inlines like Decide.
+func (c *Core) Armed(op OpClass) bool { return c.armed>>op&1 != 0 }
+
 // decideDefective checks each defect against one armed operation, unit
 // and pattern first, and validates the rate cache only for a defect that
 // triggers. The decision sequence per defect is the reference one — the

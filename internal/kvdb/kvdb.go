@@ -62,6 +62,8 @@ type replicaShard struct {
 	rows map[string]*record
 	// index maps a value fingerprint to the set of keys carrying it —
 	// the secondary index whose maintenance runs on this replica's core.
+	// The fingerprint is ecc.FNV64a on the replica's engine: the
+	// computation the §2 incident corrupts.
 	// Entries live in the shard of their KEY, so a shard lock owns both
 	// the rows and the index entries it can reach from them.
 	index map[uint64]map[string]bool
@@ -104,18 +106,6 @@ func (r *Replica) Locate(machine string, core int) *Replica {
 	return r
 }
 
-// fingerprint computes the index fingerprint of a value on this replica's
-// core. This is the computation the §2 incident corrupts. The caller must
-// hold engMu.
-func (r *Replica) fingerprint(value []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range value {
-		h = r.Engine.Xor64(h, uint64(b))
-		h = r.Engine.Mul64(h, 1099511628211)
-	}
-	return h
-}
-
 // row returns the stored record for key, or nil (test/introspection seam;
 // concurrent callers must hold the key's shard lock).
 func (r *Replica) row(key string) *record {
@@ -131,30 +121,58 @@ func (r *Replica) has(key string) bool {
 // replica's core) and maintain the secondary index. Engine operations run
 // in the same order as the historical unsharded store — old fingerprint,
 // copy, new fingerprint — so defect activation sequences are unchanged.
+//
+// An existing row of the same length is overwritten in place, so the
+// caller must hold key's shard lock exclusively (TolerantDB does for every
+// write): readers copy the record's bytes out under the read lock. A new
+// key or a new length gets a fresh record, and an index set emptied by the
+// key's departure is reused for its new fingerprint.
 func (r *Replica) apply(key string, value []byte, clientCRC uint32) {
 	sh := &r.shards[shardIndex(key)]
 	r.engMu.Lock()
 	defer r.engMu.Unlock()
-	if old, ok := sh.rows[key]; ok {
-		oldFP := r.fingerprint(old.value)
+	rec := sh.rows[key]
+	var spare map[string]bool
+	if rec != nil {
+		oldFP := ecc.FNV64a(r.Engine, rec.value)
 		if set := sh.index[oldFP]; set != nil {
 			delete(set, key)
 			if len(set) == 0 {
 				delete(sh.index, oldFP)
+				spare = set
 			}
 		}
 	}
-	stored := make([]byte, len(value))
-	r.Engine.Copy(stored, value)
-	sh.rows[key] = &record{value: stored, crc: clientCRC}
-	fp := r.fingerprint(stored)
+	if rec == nil || len(rec.value) != len(value) {
+		rec = &record{value: make([]byte, len(value))}
+		sh.rows[key] = rec
+	}
+	r.Engine.Copy(rec.value, value)
+	rec.crc = clientCRC
+	fp := ecc.FNV64a(r.Engine, rec.value)
 	set := sh.index[fp]
 	if set == nil {
-		set = map[string]bool{}
+		set = spare
+		if set == nil {
+			set = map[string]bool{}
+		}
 		sh.index[fp] = set
 	}
 	set[key] = true
 }
+
+// corruptError is a replica read's checksum failure. It unwraps to
+// ErrCorrupt and formats its message only when Error is called, which the
+// mitigation ladder never does on its way to a good replica.
+type corruptError struct {
+	key, replica string
+}
+
+func (e *corruptError) Error() string {
+	return fmt.Sprintf("%v: key %q on replica %s", ErrCorrupt, e.key, e.replica)
+}
+
+func (e *corruptError) Unwrap() error { return ErrCorrupt }
 
 // get reads a row and verifies its checksum on the replica's core.
 func (r *Replica) get(key string) ([]byte, error) {
@@ -168,7 +186,7 @@ func (r *Replica) get(key string) ([]byte, error) {
 	crc := ecc.CRC32C(r.Engine, out)
 	r.engMu.Unlock()
 	if crc != rec.crc {
-		return nil, fmt.Errorf("%w: key %q on replica %s", ErrCorrupt, key, r.ID)
+		return nil, &corruptError{key: key, replica: r.ID}
 	}
 	return out, nil
 }
@@ -178,7 +196,7 @@ func (r *Replica) get(key string) ([]byte, error) {
 // across all partitions).
 func (r *Replica) lookupByValue(value []byte) []string {
 	r.engMu.Lock()
-	fp := r.fingerprint(value)
+	fp := ecc.FNV64a(r.Engine, value)
 	r.engMu.Unlock()
 	out := []string{}
 	for i := range r.shards {

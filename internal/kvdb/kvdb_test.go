@@ -350,3 +350,61 @@ func TestReadRepairHealsCorruptChecksumReplica(t *testing.T) {
 		t.Fatalf("corrupt replica not healed: %q %v", v, err)
 	}
 }
+
+func TestCorruptReadErrorText(t *testing.T) {
+	r1 := healthyReplica("r1", 21)
+	db, _ := New(r1)
+	db.Put("k", []byte("payload"))
+	r1.row("k").value[0] ^= 0xFF
+	_, err := db.Get("k")
+	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("err = %v, want ErrCorrupt only", err)
+	}
+	if got, want := err.Error(), `kvdb: record checksum mismatch: key "k" on replica r1`; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}
+
+// TestApplyOverwritesInPlace checks the write path's reuse: a same-length
+// overwrite keeps the record and rewrites its bytes and checksum, a new
+// length replaces the record, and the secondary index follows the value
+// either way — including when two keys share a fingerprint.
+func TestApplyOverwritesInPlace(t *testing.T) {
+	r := healthyReplica("r0", 22)
+	db, _ := New(r)
+	db.Put("k", []byte("aaaa"))
+	db.Put("twin", []byte("aaaa"))
+	rec := r.row("k")
+	db.Put("k", []byte("bbbb"))
+	if r.row("k") != rec {
+		t.Fatal("same-length overwrite allocated a new record")
+	}
+	if v, err := db.Get("k"); err != nil || string(v) != "bbbb" {
+		t.Fatalf("Get after overwrite = %q, %v", v, err)
+	}
+	db.Put("k", []byte("cc"))
+	if r.row("k") == rec {
+		t.Fatal("a new length must get a new record")
+	}
+	if v, err := db.Get("k"); err != nil || string(v) != "cc" {
+		t.Fatalf("Get after resize = %q, %v", v, err)
+	}
+	db.Put("twin", []byte("cc"))
+	for value, want := range map[string]string{"aaaa": "[]", "bbbb": "[]", "cc": "[k twin]"} {
+		if got := fmt.Sprint(db.QueryByValue([]byte(value))); got != want {
+			t.Fatalf("QueryByValue(%q) = %s, want %s", value, got, want)
+		}
+	}
+	entries := 0
+	for i := range r.shards {
+		for fp, set := range r.shards[i].index {
+			if len(set) == 0 {
+				t.Fatalf("shard %d keeps an empty index set for %#x", i, fp)
+			}
+			entries += len(set)
+		}
+	}
+	if entries != 2 {
+		t.Fatalf("%d index entries, want 2", entries)
+	}
+}

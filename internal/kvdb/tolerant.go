@@ -446,8 +446,15 @@ func (t *TolerantDB) GetTraced(key string) ([]byte, ReadInfo, error) {
 // delivery.
 func (t *TolerantDB) get(key string, info *ReadInfo) ([]byte, error) {
 	n := len(t.db.replicas)
-	tried := make([]bool, n)
-	hm := healthMemo{t: t}
+	// Per-read scratch stays on the stack for stores up to eight wide.
+	var triedBuf [8]bool
+	var healthBuf [8]int8
+	tried, health := triedBuf[:], healthBuf[:]
+	if n > len(triedBuf) {
+		tried, health = make([]bool, n), make([]int8, n)
+	}
+	tried = tried[:n]
+	hm := healthMemo{t: t, state: health[:n]}
 	sh := t.shardFor(key)
 	if t.cfg.DualRead && n >= 2 {
 		ia := t.pickReplica(tried, &hm)
@@ -703,9 +710,6 @@ func (h *healthMemo) avoid(i int) bool {
 	t := h.t
 	if t.cfg.Health == nil {
 		return false
-	}
-	if h.state == nil {
-		h.state = make([]int8, len(t.db.replicas))
 	}
 	if s := h.state[i]; s != 0 {
 		return s == 1

@@ -180,6 +180,73 @@ func TestBackoffDelayClamped(t *testing.T) {
 	}
 }
 
+// TestConcurrentInPlaceOverwrites races same-length Puts, which overwrite
+// each record's bytes in place, against Gets and index queries on the same
+// rows. Every read must return one whole version of the row — never a torn
+// mix or a checksum failure — and the records must still be the ones the
+// first write allocated. Run it under -race.
+func TestConcurrentInPlaceOverwrites(t *testing.T) {
+	db := mustTestDB(t)
+	tdb := NewTolerant(db, TolerantConfig{})
+	const keys = 8
+	version := func(k, n int) []byte { return []byte(fmt.Sprintf("row%d-version-%08d", k, n)) }
+	for k := 0; k < keys; k++ {
+		tdb.Put(fmt.Sprintf("k%d", k), version(k, 0))
+	}
+	first := make([]*record, keys)
+	for k := range first {
+		first[k] = db.replicas[0].row(fmt.Sprintf("k%d", k))
+	}
+
+	const writers, readers, opsEach = 2, 4, 400
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= opsEach; i++ {
+				k := (w + i) % keys
+				tdb.Put(fmt.Sprintf("k%d", k), version(k, w*opsEach+i))
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < opsEach; i++ {
+				k := (r*3 + i) % keys
+				v, err := tdb.Get(fmt.Sprintf("k%d", k))
+				if err != nil || len(v) != len(version(k, 0)) || !bytes.HasPrefix(v, []byte(fmt.Sprintf("row%d-version-", k))) {
+					t.Errorf("Get k%d = %q, %v: want one whole version", k, v, err)
+					return
+				}
+				if i%16 == 0 {
+					tdb.QueryByValue(v)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	if s := tdb.Stats(); s.Retries != 0 || s.Repairs != 0 || s.Errors != 0 {
+		t.Fatalf("stats %+v: a healthy store retried, repaired or failed", s)
+	}
+	for k := range first {
+		key := fmt.Sprintf("k%d", k)
+		if db.replicas[0].row(key) != first[k] {
+			t.Fatalf("%s: record replaced, want overwritten in place", key)
+		}
+		v, err := tdb.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tdb.QueryByValue(v); len(got) != 1 || got[0] != key {
+			t.Fatalf("QueryByValue(%q) = %v, want [%s]", v, got, key)
+		}
+	}
+}
+
 func mustTestDB(t *testing.T) *DB {
 	t.Helper()
 	db, err := New(healthyReplica("r0", 1), healthyReplica("r1", 2), healthyReplica("r2", 3))

@@ -449,9 +449,9 @@ func (c *Cluster) Uncordon(machineID string) error {
 
 // Capacity summarizes cluster capacity, the currency of experiment E6.
 type Capacity struct {
-	TotalCores      int
-	Schedulable     int // healthy cores on undrained machines
-	Restricted      int // safe-task-only cores
+	TotalCores       int
+	Schedulable      int // healthy cores on undrained machines
+	Restricted       int // safe-task-only cores
 	Offline          int // quarantined cores
 	DrainedCores     int // cores lost to machine drains
 	OccupiedCores    int
