@@ -77,13 +77,7 @@ var keptUnreferenced = map[string]string{
 	"internal/selfcheck.Verifier.Decompress":    "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
 	"internal/selfcheck.Verifier.DecryptBlocks": "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
 	"internal/selfcheck.Verifier.Hash":          "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
-	"internal/simtime.Clock.Every":              "discrete-event clock whose ordering contract 13 simtime tests pin; the day loop does not use it",
-	"internal/simtime.Clock.Now":                "discrete-event clock whose ordering contract 13 simtime tests pin; the day loop does not use it",
-	"internal/simtime.Clock.Pending":            "discrete-event clock whose ordering contract 13 simtime tests pin; the day loop does not use it",
-	"internal/simtime.Clock.Run":                "discrete-event clock whose ordering contract 13 simtime tests pin; the day loop does not use it",
-	"internal/simtime.Clock.RunUntil":           "discrete-event clock whose ordering contract 13 simtime tests pin; the day loop does not use it",
-	"internal/simtime.Handle.Cancel":            "discrete-event clock whose ordering contract 13 simtime tests pin; the day loop does not use it",
-	"internal/simtime.Time.Hours":               "discrete-event clock whose ordering contract 13 simtime tests pin; the day loop does not use it",
+	"internal/simtime.Time.Hours":               "hour accessor beside Days for simulated durations; TestDurations pins it",
 	"internal/stats.ConcentrationPValue":        "statistics substrate pinned by the stats tests",
 	"internal/stats.Histogram.Add":              "statistics substrate pinned by the stats tests",
 	"internal/stats.Histogram.BinCenter":        "statistics substrate pinned by the stats tests",

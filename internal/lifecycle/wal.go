@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 
 	"repro/internal/parallel"
 )
@@ -215,24 +216,193 @@ func tailHoldsRecord(rest []byte, minSeq uint64) bool {
 // payload, whatever its sequence number. ok=false (with a zero Transition)
 // means the bytes do not form a record.
 func parseAnySeq(line []byte) (Transition, bool) {
+	payload, ok := framePayload(line)
+	if !ok {
+		return Transition{}, false
+	}
 	var t Transition
-	if len(line) < 10 || line[8] != ' ' {
-		return t, false
+	if decodeRecord(payload, &t) {
+		return t, true
 	}
-	var sum [4]byte
-	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
-		return t, false
-	}
-	payload := line[9:]
-	if crc32.Checksum(payload, castagnoli) != uint32(sum[0])<<24|uint32(sum[1])<<16|uint32(sum[2])<<8|uint32(sum[3]) {
-		return t, false
-	}
-	if err := json.Unmarshal(payload, &t); err != nil {
+	// A separate variable: the one json.Unmarshal sees escapes to the heap,
+	// and the fast path should not pay for that allocation.
+	var slow Transition
+	if err := json.Unmarshal(payload, &slow); err != nil {
 		// A type error can leave fields half-decoded; readLog relies on a
 		// failed line carrying a zero Seq.
 		return Transition{}, false
 	}
-	return t, true
+	return slow, true
+}
+
+// framePayload checks one newline-stripped line's checksum framing and
+// returns the payload it covers.
+func framePayload(line []byte) ([]byte, bool) {
+	if len(line) < 10 || line[8] != ' ' {
+		return nil, false
+	}
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
+		return nil, false
+	}
+	payload := line[9:]
+	if crc32.Checksum(payload, castagnoli) != uint32(sum[0])<<24|uint32(sum[1])<<16|uint32(sum[2])<<8|uint32(sum[3]) {
+		return nil, false
+	}
+	return payload, true
+}
+
+// decodeRecord is replay's fast path. It decodes payload only when it is in
+// the form frame writes: keys in declaration order with empty optional fields
+// left out, no whitespace, strings of printable ASCII with no '"' or '\',
+// integers of at most 18 digits, and '}' as the last byte. Anything else
+// returns false with t untouched, and the caller falls back to
+// encoding/json, so a payload is accepted, rejected or decoded exactly as
+// json.Unmarshal would (FuzzDecodeRecord holds it to that). The fields are
+// substrings of one string copy of payload: one allocation per record.
+func decodeRecord(payload []byte, t *Transition) bool {
+	d := recordDecoder{s: string(payload)}
+	var r Transition
+	d.expect(`{"seq":`)
+	r.Seq = d.digits()
+	d.expect(`,"day":`)
+	r.Day = d.int()
+	d.expect(`,"machine":`)
+	r.Machine = d.str()
+	d.expect(`,"from":`)
+	r.From = d.str()
+	d.expect(`,"to":`)
+	r.To = d.str()
+	if d.skip(`,"reason":`) {
+		r.Reason = d.str()
+	}
+	if d.skip(`,"actor":`) {
+		r.Actor = d.str()
+	}
+	if d.skip(`,"kind":`) {
+		r.Kind = d.str()
+	}
+	if d.skip(`,"pool":`) {
+		r.Pool = d.str()
+	}
+	if d.skip(`,"score":`) {
+		r.Score = d.float()
+	}
+	if d.bad || d.s[d.i:] != "}" {
+		return false
+	}
+	*t = r
+	return true
+}
+
+// recordDecoder is decodeRecord's cursor. The first step that fails sets
+// bad, and every later step is then a no-op.
+type recordDecoder struct {
+	s   string
+	i   int
+	bad bool
+}
+
+// skip consumes lit if the input continues with it.
+func (d *recordDecoder) skip(lit string) bool {
+	if d.bad || len(d.s)-d.i < len(lit) || d.s[d.i:d.i+len(lit)] != lit {
+		return false
+	}
+	d.i += len(lit)
+	return true
+}
+
+// expect consumes lit, which must come next.
+func (d *recordDecoder) expect(lit string) {
+	if !d.skip(lit) {
+		d.bad = true
+	}
+}
+
+// digits consumes a JSON integer without sign: "0", or 1 to 18 digits with
+// no leading zero, so the value cannot overflow.
+func (d *recordDecoder) digits() uint64 {
+	start := d.i
+	var v uint64
+	for !d.bad && d.i < len(d.s) && d.s[d.i]-'0' <= 9 {
+		v = v*10 + uint64(d.s[d.i]-'0')
+		d.i++
+	}
+	n := d.i - start
+	if n == 0 || n > 18 || (n > 1 && d.s[start] == '0') {
+		d.bad = true
+	}
+	return v
+}
+
+// int consumes a JSON integer with an optional minus sign.
+func (d *recordDecoder) int() int {
+	neg := d.skip("-")
+	v := int64(d.digits())
+	if neg {
+		v = -v
+	}
+	// On a 32-bit platform json.Unmarshal rejects what int cannot hold.
+	if int64(int(v)) != v {
+		d.bad = true
+	}
+	return int(v)
+}
+
+// str consumes a string of printable ASCII with no escapes.
+func (d *recordDecoder) str() string {
+	if !d.skip(`"`) {
+		d.bad = true
+		return ""
+	}
+	for start := d.i; d.i < len(d.s); d.i++ {
+		switch c := d.s[d.i]; {
+		case c == '"':
+			d.i++
+			return d.s[start : d.i-1]
+		case c < 0x20 || c > 0x7e || c == '\\':
+			d.bad = true
+			return ""
+		}
+	}
+	d.bad = true
+	return ""
+}
+
+// float consumes a number in the strict JSON grammar and parses it with the
+// call encoding/json makes for a float64 field.
+func (d *recordDecoder) float() float64 {
+	start := d.i
+	d.skip("-")
+	if !d.skip("0") {
+		d.run()
+	}
+	if d.skip(".") {
+		d.run()
+	}
+	if d.skip("e") || d.skip("E") {
+		_ = d.skip("+") || d.skip("-")
+		d.run()
+	}
+	if d.bad {
+		return 0
+	}
+	v, err := strconv.ParseFloat(d.s[start:d.i], 64)
+	if err != nil {
+		d.bad = true
+	}
+	return v
+}
+
+// run consumes one or more decimal digits.
+func (d *recordDecoder) run() {
+	start := d.i
+	for d.i < len(d.s) && d.s[d.i]-'0' <= 9 {
+		d.i++
+	}
+	if d.i == start {
+		d.bad = true
+	}
 }
 
 // OpenWAL opens (creating if absent) the log at path on the real

@@ -2,11 +2,15 @@ package lifecycle
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -238,26 +242,193 @@ func TestMidFileCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip pins the frame format: parseAnySeq(frame(t)) == t.
+// TestFrameRoundTrip pins the frame format: parseAnySeq(frame(t)) == t,
+// and pins which records replay decodes without encoding/json. A field
+// frame writes in a form decodeRecord does not take fails here.
 func TestFrameRoundTrip(t *testing.T) {
-	tr := Transition{Seq: 7, Day: 3, Machine: "m00042", From: "healthy", To: "cordoned",
-		Reason: "weird \"quotes\" and\ttabs", Actor: "op"}
-	line, err := frame(tr)
-	if err != nil {
-		t.Fatal(err)
+	base := Transition{Seq: 7, Day: 3, Machine: "m00042", From: "healthy", To: "cordoned"}
+	with := func(edit func(*Transition)) Transition {
+		tr := base
+		edit(&tr)
+		return tr
 	}
-	if !bytes.HasSuffix(line, []byte("\n")) {
-		t.Fatal("frame must be newline-terminated")
+	cases := []struct {
+		name string
+		tr   Transition
+		fast bool
+	}{
+		{"optional fields absent", base, true},
+		{"optional fields present", with(func(tr *Transition) {
+			tr.Reason, tr.Actor, tr.Kind, tr.Pool, tr.Score = "cee", "detector", KindDefer, "web", 7.25
+		}), true},
+		{"score 0.5", with(func(tr *Transition) { tr.Score = 0.5 }), true},
+		{"score 1e-7", with(func(tr *Transition) { tr.Score = 1e-7 }), true},
+		{"score 1e21", with(func(tr *Transition) { tr.Score = 1e21 }), true},
+		{"score -3", with(func(tr *Transition) { tr.Score = -3 }), true},
+		{"negative day", with(func(tr *Transition) { tr.Day = -12 }), true},
+		{"quote", with(func(tr *Transition) { tr.Reason = `weird "quotes"` }), false},
+		{"tab", with(func(tr *Transition) { tr.Reason = "a\ttab" }), false},
+		{"html characters", with(func(tr *Transition) { tr.Actor = "<op>&co" }), false},
+		{"non-ASCII", with(func(tr *Transition) { tr.Pool = "café ✓" }), false},
 	}
-	got, ok := parseAnySeq(bytes.TrimSuffix(line, []byte("\n")))
-	if !ok || got.Seq != 7 || got != tr {
-		t.Fatalf("round trip: %+v ok=%v", got, ok)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			line, err := frame(c.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasSuffix(line, []byte("\n")) {
+				t.Fatal("frame must be newline-terminated")
+			}
+			line = bytes.TrimSuffix(line, []byte("\n"))
+			got, ok := parseAnySeq(line)
+			if !ok || got != c.tr {
+				t.Fatalf("round trip: %+v ok=%v", got, ok)
+			}
+			var fast Transition
+			if decodeRecord(line[9:], &fast) != c.fast {
+				t.Fatalf("decodeRecord(%s) accepted=%v, want %v", line[9:], !c.fast, c.fast)
+			}
+		})
 	}
 }
 
+// writePoolWAL runs pool bookkeeping against a WAL-backed manager and
+// returns the log bytes: assignments, a drain, a scored drain the floor
+// defers, its cancel, a deferred cordon and that cordon's admission.
+func writePoolWAL(t *testing.T) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "pools.wal")
+	m, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: 2})
+	for _, id := range []string{"m1", "m2", "m3"} {
+		if err := m.AssignPool(id, "web"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Drain("m1", 1, "maintenance", "op"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DrainScored("m2", 2, "cee", "detector", 7.25); !errors.Is(err, ErrDeferred) {
+		t.Fatalf("expected deferral, got %v", err)
+	}
+	if err := m.CancelDeferred("m2", 3, "op"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DeferCordon("m3", 4, "cee", "detector", 1e-7); err != nil {
+		t.Fatal(err)
+	}
+	m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: 1})
+	m.AdmitDeferred(5)
+	if r, _ := m.State("m3"); r.State != Cordoned {
+		t.Fatalf("admitted cordon left m3 %v", r.State)
+	}
+	if err := m.AssignPool("m2", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// writeHistoryWAL writes the shape of the control-plane benchmark's input
+// history: every machine goes through cycles of cordon, drain, drained,
+// repair and probation.
+func writeHistoryWAL(t *testing.T, machines, cycles int) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "history.wal")
+	m, _, err := Open(path, Options{MaxRepairs: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < cycles; c++ {
+		for i := 0; i < machines; i++ {
+			id := fmt.Sprintf("m%05d", i)
+			for _, step := range []func() (State, error){
+				func() (State, error) { return m.Cordon(id, c, "history", "bench") },
+				func() (State, error) { return m.Drain(id, c, "history", "bench") },
+				func() (State, error) { return m.MarkDrained(id, c, "bench") },
+				func() (State, error) { return m.StartRepair(id, c, "bench") },
+				func() (State, error) { return m.Reintroduce(id, c, "history", "bench") },
+			} {
+				if _, err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestWrittenRecordsTakeFastPath requires every record the manager writes
+// to decode through decodeRecord itself, to the Transition encoding/json
+// reads, so a later field that quietly sends replay back to reflection
+// fails here and not only in the benchmark.
+func TestWrittenRecordsTakeFastPath(t *testing.T) {
+	kinds := map[string]bool{}
+	scored := false
+	for name, data := range map[string][]byte{
+		"script":  writeScriptWAL(t),
+		"pools":   writePoolWAL(t),
+		"history": writeHistoryWAL(t, 7, 3),
+	} {
+		lines := bytes.Split(data, []byte{'\n'})
+		for i, line := range lines[:len(lines)-1] {
+			payload, ok := framePayload(line)
+			if !ok {
+				t.Fatalf("%s record %d: bad frame", name, i+1)
+			}
+			var got, want Transition
+			if !decodeRecord(payload, &got) {
+				t.Fatalf("%s record %d takes the encoding/json fallback: %s", name, i+1, payload)
+			}
+			if err := json.Unmarshal(payload, &want); err != nil || got != want {
+				t.Fatalf("%s record %d: decoded %+v, encoding/json %+v (%v)", name, i+1, got, want, err)
+			}
+			kinds[got.Kind] = true
+			scored = scored || got.Score != 0
+		}
+	}
+	for _, k := range []string{"", KindDefer, KindUndefer, KindAssign} {
+		if !kinds[k] {
+			t.Errorf("no record of kind %q was written", k)
+		}
+	}
+	if !scored {
+		t.Error("no record with a score was written")
+	}
+}
+
+// parseAnySeqJSON is parseAnySeq with encoding/json as its only decoder:
+// the reference the fast path is checked against.
+func parseAnySeqJSON(line []byte) (Transition, bool) {
+	var t Transition
+	payload, ok := framePayload(line)
+	if !ok || json.Unmarshal(payload, &t) != nil {
+		return Transition{}, false
+	}
+	return t, true
+}
+
 // readLogSerial is the reference readLog: one line at a time, in order,
-// stopping at the first line that fails the frame or sequence check.
-// readLog must agree with it on every input at any worker count.
+// decoded by encoding/json alone, stopping at the first line that fails the
+// frame or sequence check. readLog must agree with it on every input at any
+// worker count.
 func readLogSerial(data []byte) (recs []Transition, goodLen int, err error) {
 	off := 0
 	for off < len(data) {
@@ -265,11 +436,15 @@ func readLogSerial(data []byte) (recs []Transition, goodLen int, err error) {
 		if nl < 0 {
 			return recs, goodLen, nil
 		}
-		t, ok := parseAnySeq(data[off : off+nl])
-		if !ok || t.Seq != uint64(len(recs))+1 {
+		next := uint64(len(recs)) + 1
+		t, ok := parseAnySeqJSON(data[off : off+nl])
+		if !ok || t.Seq != next {
 			rest := data[off+nl+1:]
-			if tailHoldsRecord(rest, uint64(len(recs))+1) {
-				return nil, 0, fmt.Errorf("lifecycle: WAL corrupt at byte %d: invalid record followed by %d more bytes of log", off, len(rest))
+			lines := bytes.Split(rest, []byte{'\n'})
+			for _, line := range lines[:len(lines)-1] {
+				if t, ok := parseAnySeqJSON(line); ok && t.Seq >= next {
+					return nil, 0, fmt.Errorf("lifecycle: WAL corrupt at byte %d: invalid record followed by %d more bytes of log", off, len(rest))
+				}
 			}
 			return recs, goodLen, nil
 		}
@@ -305,7 +480,7 @@ func checkReadLog(t *testing.T, data []byte) error {
 }
 
 // frameLog frames n generated records with seq 1..n.
-func frameLog(t *testing.T, n int) []byte {
+func frameLog(t testing.TB, n int) []byte {
 	t.Helper()
 	var data []byte
 	for i := 1; i <= n; i++ {
@@ -403,4 +578,98 @@ func FuzzReadLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReadLog(t, data)
 	})
+}
+
+// FuzzDecodeRecord holds the replay fast path to encoding/json. Whenever
+// decodeRecord accepts a payload, json.Unmarshal accepts it too and yields
+// the identical Transition; and json.Marshal of any Transition with plain
+// ASCII strings, which is what frame writes, is accepted.
+func FuzzDecodeRecord(f *testing.F) {
+	add := func(payload string) {
+		f.Add([]byte(payload), uint64(7), int64(-3), 0.5, "m00042", "healthy", "cordoned", "cee", "detector", KindDefer, "web")
+	}
+	for _, data := range [][]byte{writeScriptWAL(f), frameLog(f, 3)} {
+		lines := bytes.Split(data, []byte{'\n'})
+		for _, line := range lines[:len(lines)-1] {
+			add(string(line[9:]))
+		}
+	}
+	for _, p := range []string{
+		`{"seq":1,"day":"x"}`,
+		`{"seq":01,"day":0,"machine":"m","from":"a","to":"b"}`,
+		`{"seq":1,"day":-0,"machine":"m","from":"a","to":"b"}`,
+		`{"seq":-1,"day":0,"machine":"m","from":"a","to":"b"}`,
+		`{"seq":1,"day":1.0,"machine":"m","from":"a","to":"b"}`,
+		`{"seq":1000000000000000000,"day":0,"machine":"m","from":"a","to":"b"}`,
+		`{"seq":18446744073709551616,"day":0,"machine":"m","from":"a","to":"b"}`,
+		`{"seq":1,"day":-9223372036854775809,"machine":"m","from":"a","to":"b"}`,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b","score":1e400}`,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b","score":-0.0e-0}`,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b","score":.5}`,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b","score":1.}`,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b","score":1e+}`,
+		"{\"seq\":1,\"day\":0,\"machine\":\"m\x1f\",\"from\":\"a\",\"to\":\"b\"}",
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b","reason":"","pool":"p"}`,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b","actor":"x","reason":"y"}`,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b","reason":null}`,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b"} `,
+		`{"seq":1,"day":0,"machine":"m","from":"a","to":"b"}}`,
+		`{"SEQ":1,"day":0,"machine":"m","from":"a","to":"b"}`,
+		`{"seq":1,"day":0,"machine":"m\u0041","from":"a","to":"b"}`,
+	} {
+		add(p)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, seq uint64, day int64, score float64,
+		machine, from, to, reason, actor, kind, pool string) {
+		var got Transition
+		if decodeRecord(payload, &got) {
+			var want Transition
+			if err := json.Unmarshal(payload, &want); err != nil {
+				t.Fatalf("decodeRecord accepted %q, encoding/json refuses it: %v", payload, err)
+			}
+			if got != want || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+				t.Fatalf("%q: decodeRecord %+v, encoding/json %+v", payload, got, want)
+			}
+		}
+
+		if math.IsNaN(score) || math.IsInf(score, 0) {
+			score = 0
+		}
+		tr := Transition{Seq: seq % 1e18, Day: int(day % 1e18), Machine: plainASCII(machine),
+			From: plainASCII(from), To: plainASCII(to), Reason: plainASCII(reason),
+			Actor: plainASCII(actor), Kind: plainASCII(kind), Pool: plainASCII(pool), Score: score}
+		written, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Transition
+		if !decodeRecord(written, &back) || back != tr {
+			t.Fatalf("decodeRecord(%s) = %+v, want %+v", written, back, tr)
+		}
+	})
+}
+
+// plainASCII keeps the bytes of s that json.Marshal writes unescaped:
+// printable ASCII other than '"', '\', '<', '>' and '&'.
+func plainASCII(s string) string {
+	out := make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= 0x20 && c <= 0x7e && !strings.ContainsRune(`"\<>&`, rune(c)) {
+			out = append(out, c)
+		}
+	}
+	return string(out)
+}
+
+// BenchmarkReadLog replays a 100k-record log of the form frame writes.
+func BenchmarkReadLog(b *testing.B) {
+	data := frameLog(b, 100_000)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := readLog(data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -15,184 +15,3 @@ func TestDurations(t *testing.T) {
 		t.Fatalf("Hours() = %v", (90 * Minute).Hours())
 	}
 }
-
-func TestEventOrdering(t *testing.T) {
-	var c Clock
-	var order []int
-	c.At(10, func(Time) { order = append(order, 2) })
-	c.At(5, func(Time) { order = append(order, 1) })
-	c.At(20, func(Time) { order = append(order, 3) })
-	c.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v", order)
-	}
-	if c.Now() != 20 {
-		t.Fatalf("final time = %v", c.Now())
-	}
-}
-
-func TestSameTimeFIFO(t *testing.T) {
-	var c Clock
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		c.At(7, func(Time) { order = append(order, i) })
-	}
-	c.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-instant events out of order: %v", order)
-		}
-	}
-}
-
-func TestAfterRelative(t *testing.T) {
-	var c Clock
-	var fired Time
-	c.At(100, func(now Time) {
-		c.After(50, func(now2 Time) { fired = now2 })
-	})
-	c.Run()
-	if fired != 150 {
-		t.Fatalf("After fired at %v, want 150", fired)
-	}
-}
-
-func TestPastSchedulingClamps(t *testing.T) {
-	var c Clock
-	var fired bool
-	c.At(100, func(Time) {
-		c.At(10, func(now Time) {
-			if now < 100 {
-				t.Errorf("event fired in the past at %v", now)
-			}
-			fired = true
-		})
-	})
-	c.Run()
-	if !fired {
-		t.Fatal("past-scheduled event never fired")
-	}
-}
-
-func TestCancel(t *testing.T) {
-	var c Clock
-	fired := false
-	h := c.At(5, func(Time) { fired = true })
-	h.Cancel()
-	c.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel is a no-op.
-	h.Cancel()
-}
-
-func TestCancelZeroHandle(t *testing.T) {
-	var h Handle
-	h.Cancel() // must not panic
-}
-
-func TestEvery(t *testing.T) {
-	var c Clock
-	var times []Time
-	cancel := c.Every(10, func(now Time) {
-		times = append(times, now)
-		if len(times) == 3 {
-			// Cancellation from inside the callback must stop future firings.
-		}
-	})
-	c.RunUntil(35)
-	cancel()
-	c.RunUntil(100)
-	if len(times) != 3 {
-		t.Fatalf("Every fired %d times: %v", len(times), times)
-	}
-	if times[0] != 10 || times[1] != 20 || times[2] != 30 {
-		t.Fatalf("Every times = %v", times)
-	}
-}
-
-func TestEveryCancelInsideCallback(t *testing.T) {
-	var c Clock
-	count := 0
-	var cancel func()
-	cancel = c.Every(1, func(Time) {
-		count++
-		if count == 2 {
-			cancel()
-		}
-	})
-	c.RunUntil(100)
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
-	}
-}
-
-func TestRunUntilAdvancesToDeadline(t *testing.T) {
-	var c Clock
-	c.At(5, func(Time) {})
-	c.RunUntil(50)
-	if c.Now() != 50 {
-		t.Fatalf("Now = %v, want 50", c.Now())
-	}
-}
-
-func TestRunUntilLeavesFutureEvents(t *testing.T) {
-	var c Clock
-	fired := false
-	c.At(100, func(Time) { fired = true })
-	c.RunUntil(50)
-	if fired {
-		t.Fatal("future event fired early")
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("pending = %d", c.Pending())
-	}
-	c.RunUntil(200)
-	if !fired {
-		t.Fatal("event never fired")
-	}
-}
-
-func TestStepReturnsFalseWhenEmpty(t *testing.T) {
-	var c Clock
-	if c.Step() {
-		t.Fatal("Step on empty clock returned true")
-	}
-	h := c.At(1, func(Time) {})
-	h.Cancel()
-	if c.Step() {
-		t.Fatal("Step over only-cancelled events returned true")
-	}
-}
-
-func TestNestedScheduling(t *testing.T) {
-	var c Clock
-	depth := 0
-	var recurse func(Time)
-	recurse = func(Time) {
-		depth++
-		if depth < 100 {
-			c.After(1, recurse)
-		}
-	}
-	c.After(1, recurse)
-	c.Run()
-	if depth != 100 {
-		t.Fatalf("depth = %d", depth)
-	}
-	if c.Now() != 100 {
-		t.Fatalf("time = %v", c.Now())
-	}
-}
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var c Clock
-		for j := 0; j < 100; j++ {
-			c.At(Time(j%17), func(Time) {})
-		}
-		c.Run()
-	}
-}
