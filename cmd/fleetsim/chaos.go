@@ -44,7 +44,7 @@ type chaosScale struct {
 func cmdChaos(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetsim chaos", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	quick := fs.Bool("quick", false, "smaller storms (the CI smoke setting)")
+	quick := fs.Bool("quick", false, "smaller storms for a sub-second smoke run")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: fleetsim chaos [-quick]")
 		fs.PrintDefaults()

@@ -221,7 +221,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fleetsim: %s: %d assertion(s) failed\n", s.Name, len(fails))
 		return 1
 	}
-	if !s.Assert.Empty() {
+	if s.Assert.Count() > 0 {
 		fmt.Fprintf(stdout, "assertions: all passed\n")
 	}
 	return 0
@@ -232,7 +232,7 @@ func printSummary(w io.Writer, s *scenario.Scenario, res *scenario.Result) {
 	t := res.Totals()
 	rep := res.Detection
 	fmt.Fprintf(w, "scenario %s: %d days, %d machines x %d cores\n",
-		s.Name, s.Days, s.Fleet.Machines, s.Fleet.Cores)
+		s.Name, s.Days, s.Fleet.Machines, s.Fleet.CoresPerMachine)
 	fmt.Fprintf(w, "run: %d corruptions, %d auto reports, %d user reports, %d screen detections\n",
 		t.Corruptions, t.AutoReports, t.UserReports, t.ScreenDetections)
 	fmt.Fprintf(w, "detection: %d defective cores (%d past onset), %d quarantined (TP %d / FP %d), detected fraction %.3f\n",
@@ -287,9 +287,7 @@ func cmdValidate(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		fmt.Fprintf(stdout, "ok\t%s\t(%s: %d days, %d events, %d assertions)\n",
-			path, s.Name, s.Days, len(s.Events),
-			len(s.Assert.Quantities)+len(s.Assert.QuarantinedCores)+
-				len(s.Assert.NotQuarantinedCores)+len(s.Assert.Metrics))
+			path, s.Name, s.Days, len(s.Events), s.Assert.Count())
 	}
 	if bad > 0 {
 		fmt.Fprintf(stderr, "fleetsim: %d of %d file(s) invalid\n", bad, fs.NArg())

@@ -38,9 +38,22 @@ assert:
 		{"run", []string{"run", "../../scenarios/quickstart.yaml"}, 0, "assertions: all passed\n"},
 		{"run with an unmet assertion", []string{"run", unmet}, 1, ""},
 		{"validate the corpus", append([]string{"validate"}, glob(t, "../../scenarios/*.yaml")...), 0, "ok\t"},
+		{"validate counts every assertion kind", []string{"validate",
+			"../../scenarios/chaos-network-notify.yaml", "../../scenarios/chaos-wal-faults.yaml",
+			"../../scenarios/lifecycle-cordon-drain.yaml", "../../scenarios/pool-drain-budget.yaml"}, 0,
+			"ok\t../../scenarios/chaos-network-notify.yaml\t(chaos-network-notify: 7 days, 4 events, 8 assertions)\n" +
+				"ok\t../../scenarios/chaos-wal-faults.yaml\t(chaos-wal-faults: 9 days, 10 events, 11 assertions)\n" +
+				"ok\t../../scenarios/lifecycle-cordon-drain.yaml\t(lifecycle-cordon-drain: 60 days, 4 events, 14 assertions)\n" +
+				"ok\t../../scenarios/pool-drain-budget.yaml\t(pool-drain-budget: 10 days, 3 events, 9 assertions)\n"},
 		{"validate invalid files", append([]string{"validate"}, glob(t, "../../internal/scenario/testdata/invalid/*.yaml")...), 1, ""},
 		{"validate nothing", []string{"validate"}, 2, ""},
 		{"experiments", []string{"experiments", "-experiment", "E1"}, 0, section(t, string(golden), "E1 —")},
+		{"chaos", []string{"chaos"}, 0, "" +
+			"chaos: wal storm: 864 ops (446 acked) through 418 disk faults; replay matches acked prefix; broken-log refusal holds\n" +
+			"chaos: pool storm: 48 drains (21 deferred) with floors intact; queue drained in 7 passes\n" +
+			"chaos: net storm: 96/96 actions acked through 72 network faults, all durable across restart\n" +
+			"chaos: webhook storm: 128 events delivered exactly once through 128 network faults\n" +
+			"chaos: all invariants held\n"},
 		{"unknown experiment", []string{"experiments", "-experiment", "E99"}, 2, ""},
 		{"unknown command", []string{"bogus"}, 2, ""},
 		{"no command", nil, 2, ""},

@@ -42,55 +42,57 @@ import (
 	"repro/internal/xrand"
 )
 
-// Config parameterizes a fleet simulation.
+// Config parameterizes a fleet simulation. A field tagged `scn:"key"`
+// here, and in the config types below, is a scenario-file knob: package
+// scenario decodes the file straight onto these types by the tags.
 type Config struct {
 	// Machines and CoresPerMachine shape the fleet.
-	Machines        int
-	CoresPerMachine int
+	Machines        int `scn:"machines"`
+	CoresPerMachine int `scn:"cores_per_machine"`
 	// Seed makes the whole run reproducible.
 	Seed uint64
 	// DefectsPerMachine is the expected number of defective cores per
 	// machine. The paper reports "on the order of a few mercurial cores
 	// per several thousand machines"; the default 0.002 reproduces that.
-	DefectsPerMachine float64
+	DefectsPerMachine float64 `scn:"defects_per_machine"`
 	// DailyOpsPerCore is the production operation volume per core per
 	// day that defects can act on.
-	DailyOpsPerCore float64
+	DailyOpsPerCore float64 `scn:"daily_ops_per_core"`
 	// PImmediateDetect is the probability an application-level check
 	// (checksum, replica compare) catches a corruption promptly.
-	PImmediateDetect float64
+	PImmediateDetect float64 `scn:"p_immediate_detect"`
 	// PCrash is the probability a corruption crashes the process or
 	// kernel (fail-noisy).
-	PCrash float64
+	PCrash float64 `scn:"p_crash"`
 	// PMCE is the probability of a machine-check event.
-	PMCE float64
+	PMCE float64 `scn:"p_mce"`
 	// PLateDetect is the probability the wrong answer is detected after
 	// it is too late to retry.
-	PLateDetect float64
+	PLateDetect float64 `scn:"p_late_detect"`
 	// PCoreAttribution is the probability a detected signal names the
 	// specific core (vs only the machine).
-	PCoreAttribution float64
+	PCoreAttribution float64 `scn:"p_core_attribution"`
 	// SoftwareBugSignalsPerMachineDay is the background rate of
 	// corruption-looking signals caused by ordinary software bugs,
 	// spread evenly over cores — the noise the concentration test
 	// rejects and the source of false human accusations.
-	SoftwareBugSignalsPerMachineDay float64
+	SoftwareBugSignalsPerMachineDay float64 `scn:"software_bug_signals_per_machine_day"`
 	// UserReportFraction is the fraction of detected incidents that a
 	// human investigates and files as a user report.
-	UserReportFraction float64
+	UserReportFraction float64 `scn:"user_report_fraction"`
 	// ScreenOpsPerCoreDay is the online screening budget per core per
 	// day, in engine operations.
-	ScreenOpsPerCoreDay uint64
+	ScreenOpsPerCoreDay uint64 `scn:"screen_ops_per_core_day"`
 	// InitialCorpus and CorpusGrowEveryDays model §6's expanding test
 	// corpus ("our regular fleet-wide testing has expanded to new
 	// classes of CEEs ... a few times per year"): the automated screener
 	// starts with the first InitialCorpus workloads and unlocks one more
 	// every CorpusGrowEveryDays days. Zero disables growth.
-	InitialCorpus       int
-	CorpusGrowEveryDays int
+	InitialCorpus       int `scn:"initial_corpus"`
+	CorpusGrowEveryDays int `scn:"corpus_grow_every_days"`
 	// MaxSignalsPerCoreDay rate-limits reporting, as production signal
 	// pipelines do.
-	MaxSignalsPerCoreDay int
+	MaxSignalsPerCoreDay int `scn:"max_signals_per_core_day"`
 	// Policy is the quarantine policy applied to nominated suspects.
 	Policy quarantine.Policy
 	// ConfessionConfig is the screen used for confessions; its zero
@@ -99,7 +101,7 @@ type Config struct {
 	// RepairAfterDays returns quarantined cores and drained machines to
 	// service with healthy replacement silicon after this many days
 	// (the RMA loop); 0 disables repair.
-	RepairAfterDays int
+	RepairAfterDays int `scn:"repair_after_days"`
 	// SKUs describes the CPU-product mix (§2: "the rate is not uniform
 	// across CPU products"; §4: fleets have "various CPU types, from
 	// several vendors, and of various ages"). Nil means one uniform SKU
@@ -132,31 +134,31 @@ type RemediateConfig struct {
 	// "escalating" (retest low-score suspects in place before draining),
 	// or "swap" (swap in spare silicon once a pool's repair-ticket budget
 	// is exhausted).
-	Policy string
+	Policy string `scn:"policy"`
 	// ScoreThreshold is the escalating policy's immediate-drain score
 	// (0 means its default).
-	ScoreThreshold float64
+	ScoreThreshold float64 `scn:"score_threshold"`
 	// MaxRetests bounds the escalating policy's in-place retests per
 	// machine (0 means its default).
-	MaxRetests int
+	MaxRetests int `scn:"max_retests"`
 	// RepairTicketsPerPool budgets concurrent whole-machine repair
 	// tickets per pool for the swap policy (0 means unbudgeted).
-	RepairTicketsPerPool int
+	RepairTicketsPerPool int `scn:"repair_tickets_per_pool"`
 }
 
 // SKU is one CPU product population in the fleet.
 type SKU struct {
 	// Name labels the product in reports.
-	Name string
+	Name string `scn:"name"`
 	// Fraction is the share of machines carrying this SKU; fractions
 	// are normalized over the configured SKUs.
-	Fraction float64
+	Fraction float64 `scn:"fraction"`
 	// DefectMultiplier scales Config.DefectsPerMachine for this SKU.
-	DefectMultiplier float64
+	DefectMultiplier float64 `scn:"defect_multiplier"`
 	// PreAgeDays is the maximum in-service age (uniform per machine) at
 	// simulation start — older products carry partially elapsed onset
 	// clocks.
-	PreAgeDays float64
+	PreAgeDays float64 `scn:"pre_age_days"`
 }
 
 // DefaultConfig returns the calibrated configuration used by the

@@ -32,21 +32,22 @@ type KVDBConfig struct {
 	// Stores is the number of simulated stores; 0 disables the phase.
 	// Store k's first replica is served by defect site k (when one
 	// exists), so the workload exercises real mercurial cores.
-	Stores int
+	Stores int `scn:"stores"`
 	// Replicas per store (default 3).
-	Replicas int
+	Replicas int `scn:"replicas"`
 	// Rows per store (default 16).
-	Rows int
+	Rows int `scn:"rows"`
 	// ReadsPerDay and WritesPerDay shape the daily workload per store
 	// (defaults 64 and 4).
-	ReadsPerDay, WritesPerDay int
+	ReadsPerDay  int `scn:"reads_per_day"`
+	WritesPerDay int `scn:"writes_per_day"`
 	// ValueBytes is the row payload size (default 64).
-	ValueBytes int
+	ValueBytes int `scn:"value_bytes"`
 	// MaxRetries bounds per-read different-replica retries (default 2).
-	MaxRetries int
+	MaxRetries int `scn:"max_retries"`
 	// AvoidScore is the tracker suspect score at which a replica's core
 	// is deprioritized before any quarantine decision (default 6).
-	AvoidScore float64
+	AvoidScore float64 `scn:"avoid_score"`
 }
 
 func (c KVDBConfig) withDefaults() KVDBConfig {

@@ -29,14 +29,14 @@ import (
 // no recidivist removal, no probation accounting.
 type LifecycleConfig struct {
 	// Enabled switches the control plane on.
-	Enabled bool
+	Enabled bool `scn:"enabled"`
 	// MaxRepairs is the recidivist threshold: after this many completed
 	// repair cycles the next cordon escalates to permanent removal.
 	// 0 means the lifecycle package default (2).
-	MaxRepairs int
+	MaxRepairs int `scn:"max_repairs"`
 	// ProbationDays is how long a repaired machine stays in probation
 	// before a clean record releases it to healthy. 0 means 7.
-	ProbationDays int
+	ProbationDays int `scn:"probation_days"`
 	// WALPath, when set, persists every ledger transition to a CRC-framed
 	// write-ahead log (replayed if the file already holds records). Empty
 	// keeps the ledger memory-only — the usual simulator configuration.

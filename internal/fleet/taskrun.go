@@ -32,16 +32,16 @@ type TaskRunConfig struct {
 	// the phase. Task k's first placement is pinned to defect site k mod
 	// sites (when one is schedulable), so the runtime meets real
 	// mercurial cores.
-	Tasks int
+	Tasks int `scn:"tasks"`
 	// GranulesPerTask is the checkpoint granularity (default 3); the
 	// granules cycle through the screening corpus.
-	GranulesPerTask int
+	GranulesPerTask int `scn:"granules_per_task"`
 	// MaxRetries bounds re-executions per granule (default 3).
-	MaxRetries int
+	MaxRetries int `scn:"max_retries"`
 	// DivergenceThreshold is the per-core escalation floor (default 2).
-	DivergenceThreshold int
+	DivergenceThreshold int `scn:"divergence_threshold"`
 	// Paranoid enables DMR-style verification of every granule.
-	Paranoid bool
+	Paranoid bool `scn:"paranoid"`
 }
 
 func (c TaskRunConfig) withDefaults() TaskRunConfig {

@@ -32,11 +32,11 @@ var ErrDeferred = errors.New("lifecycle: request deferred: pool at capacity floo
 // PoolConfig declares one capacity pool. The effective floor is
 // max(MinHealthyCount, ceil(MinHealthy × members)).
 type PoolConfig struct {
-	Name string
+	Name string `scn:"name"`
 	// MinHealthy is the fraction of members that must stay serving (0..1).
-	MinHealthy float64
+	MinHealthy float64 `scn:"min_healthy"`
 	// MinHealthyCount is an absolute serving floor.
-	MinHealthyCount int
+	MinHealthyCount int `scn:"min_healthy_count"`
 }
 
 // floor computes the effective serving floor for a pool of `members`.

@@ -109,6 +109,83 @@ func TestDeferredQueueOrdering(t *testing.T) {
 	}
 }
 
+// TestRedefer pins deferLocked's rule for a machine already queued: the
+// same verb again is a no-op that keeps its arrival order and first
+// reason; another verb replaces the intent, which queues anew.
+func TestRedefer(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		cordon bool // re-defer m1 as a cordon rather than a drain
+		want   []string
+	}{
+		{"same verb keeps the intent", false,
+			[]string{"m1 draining first", "m2 draining first", "m3 draining first"}},
+		{"another verb replaces it", true,
+			[]string{"m2 draining first", "m3 draining first", "m1 cordoned again"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewManager(Options{})
+			m.DefinePool(PoolConfig{Name: "db", MinHealthyCount: 100}) // everything defers
+			for _, id := range []string{"m1", "m2", "m3"} {
+				if err := m.AssignPool(id, "db"); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.DeferDrain(id, 1, "first", "op", 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			redefer := m.DeferDrain
+			if c.cordon {
+				redefer = m.DeferCordon
+			}
+			if err := redefer("m1", 2, "again", "op", 1); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, d := range m.DeferredDrains() {
+				got = append(got, d.Machine+" "+d.Verb+" "+d.Reason)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("queue = %q, want %q", got, c.want)
+			}
+		})
+	}
+}
+
+// TestAdmitSweepFillsTheSlack pins that one admission sweep admits every
+// parked drain the floor allows, highest score first, not one per sweep.
+func TestAdmitSweepFillsTheSlack(t *testing.T) {
+	for _, c := range []struct {
+		floor         int
+		admitted      []string
+		stillDeferred int
+	}{
+		{5, nil, 3},
+		{4, []string{"a-machine"}, 2},
+		{3, []string{"a-machine", "b-machine"}, 1},
+		{0, []string{"a-machine", "b-machine", "c-machine"}, 0},
+	} {
+		m, ms := poolManager(t, PoolConfig{Name: "web", MinHealthyCount: 5}, 5)
+		for i, id := range ms[:3] {
+			if _, err := m.DrainScored(id, 1, "cee", "detector", float64(3-i)); !errors.Is(err, ErrDeferred) {
+				t.Fatalf("DrainScored(%s): err %v, want ErrDeferred", id, err)
+			}
+		}
+		m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: c.floor})
+		m.AdmitDeferred(2)
+		var drained []string
+		for _, id := range ms {
+			if r, _ := m.State(id); r.State == Drained {
+				drained = append(drained, id)
+			}
+		}
+		if !reflect.DeepEqual(drained, c.admitted) || len(m.DeferredDrains()) != c.stillDeferred {
+			t.Errorf("floor %d: drained %v with %d still deferred, want %v and %d",
+				c.floor, drained, len(m.DeferredDrains()), c.admitted, c.stillDeferred)
+		}
+	}
+}
+
 func TestCancelAndSupersededDeferred(t *testing.T) {
 	m, ms := poolManager(t, PoolConfig{Name: "web", MinHealthyCount: 3}, 3)
 

@@ -9,8 +9,8 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/lifecycle"
@@ -19,8 +19,9 @@ import (
 
 // Range bounds one quantity. A bare scalar in the file means Min == Max.
 type Range struct {
-	Min, Max *float64
-	Line     int
+	Min  *float64 `scn:"min"`
+	Max  *float64 `scn:"max"`
+	Line int
 }
 
 func (r Range) check(name string, v float64) string {
@@ -44,11 +45,14 @@ func fmtNum(v float64) string {
 // series of the family whose labels are a superset of Labels). Counters
 // and gauges contribute their value, histograms their observation count.
 type MetricAssert struct {
-	Name   string
-	Labels map[string]string
-	Range  Range
-	Line   int
+	Name   string       `scn:"name"`
+	Labels metricLabels `scn:"labels"`
+	Range
+	Line int
 }
+
+// metricLabels is an assert.metrics entry's label filter.
+type metricLabels map[string]string
 
 // CoreAssert requires a specific core to be present in (or absent from)
 // the final quarantine ledger.
@@ -87,11 +91,10 @@ type QuantityAssert struct {
 	Range Range
 }
 
-// Empty reports whether the scenario declares no assertions at all.
-func (a Assertions) Empty() bool {
-	return len(a.Quantities) == 0 && len(a.QuarantinedCores) == 0 &&
-		len(a.NotQuarantinedCores) == 0 && len(a.Metrics) == 0 &&
-		len(a.MachineStates) == 0
+// Count is the number of assertions the scenario declares.
+func (a Assertions) Count() int {
+	return len(a.Quantities) + len(a.QuarantinedCores) +
+		len(a.NotQuarantinedCores) + len(a.Metrics) + len(a.MachineStates)
 }
 
 // quantities maps every assertable name to its extractor. The names are
@@ -170,8 +173,13 @@ func QuantityNames() []string {
 
 // ---- decoding ----
 
-func (d *decoder) assertions(m *node) Assertions {
-	var a Assertions
+// decodeScn decodes the assert section, whose keys are the quantity
+// vocabulary plus the core, machine-state and metrics lists.
+func (a *Assertions) decodeScn(d *decoder, n *node, path, _ string) bool {
+	m := d.asMap(n, path)
+	if m == nil {
+		return false
+	}
 	for _, key := range m.keys {
 		child := m.children[key]
 		switch key {
@@ -182,15 +190,7 @@ func (d *decoder) assertions(m *node) Assertions {
 		case "machine_states":
 			a.MachineStates = d.machineStates(child)
 		case "metrics":
-			if child.kind != nSeq {
-				d.errf(child.line, "assert.metrics must be a sequence")
-				continue
-			}
-			for _, item := range child.items {
-				if ma, ok := d.metricAssert(item); ok {
-					a.Metrics = append(a.Metrics, ma)
-				}
-			}
+			d.decodeInto(child, reflect.ValueOf(&a.Metrics).Elem(), "assert.metrics", "assert.metrics")
 		default:
 			if _, known := quantities[key]; !known {
 				d.errf(m.keyLine(key), "unknown assertion %q (known: %s, quarantined_cores, not_quarantined_cores, machine_states, metrics)",
@@ -202,23 +202,21 @@ func (d *decoder) assertions(m *node) Assertions {
 			}
 		}
 	}
-	return a
+	return true
 }
 
 // rangeVal decodes {min: x, max: y} or a bare scalar (exact value).
 func (d *decoder) rangeVal(n *node, what string) (Range, bool) {
 	switch n.kind {
 	case nScalar:
-		v, ok := d.floatNode(n, what)
-		if !ok {
+		var v float64
+		if !d.scalar(n, reflect.ValueOf(&v).Elem(), what) {
 			return Range{}, false
 		}
 		return Range{Min: &v, Max: &v, Line: n.line}, true
 	case nMap:
-		d.known(n, what, "min", "max")
-		r := Range{Line: n.line}
-		r.Min = d.optFloat(n, "min", what)
-		r.Max = d.optFloat(n, "max", what)
+		var r Range
+		d.decodeStruct(n, reflect.ValueOf(&r).Elem(), what, what)
 		if r.Min == nil && r.Max == nil {
 			d.errf(n.line, "%s needs min and/or max", what)
 			return Range{}, false
@@ -231,15 +229,6 @@ func (d *decoder) rangeVal(n *node, what string) (Range, bool) {
 	}
 	d.errf(lineOf(n), "%s must be a number or {min, max}", what)
 	return Range{}, false
-}
-
-func (d *decoder) floatNode(n *node, what string) (float64, bool) {
-	v, err := strconv.ParseFloat(n.text, 64)
-	if err != nil {
-		d.errf(n.line, "%s: %q is not a number", what, n.text)
-		return 0, false
-	}
-	return v, true
 }
 
 func (d *decoder) coreList(n *node, what string) []CoreAssert {
@@ -309,40 +298,29 @@ func (d *decoder) machineStates(n *node) []MachineStateAssert {
 	return out
 }
 
-func (d *decoder) metricAssert(n *node) (MetricAssert, bool) {
-	m := d.asMap(n, "assert.metrics entry")
-	if m == nil {
-		return MetricAssert{}, false
-	}
-	d.known(m, "assert.metrics entry", "name", "labels", "min", "max")
-	ma := MetricAssert{Line: m.line, Range: Range{Line: m.line}}
-	ma.Name, _ = d.str(m, "name", "assert.metrics")
+func (ma *MetricAssert) validate(d *decoder, m *node, _ string) {
 	if ma.Name == "" {
 		d.errf(m.line, "assert.metrics entry needs a name")
-		return ma, false
-	}
-	if ln := m.child("labels"); ln != nil {
-		lm := d.asMap(ln, "assert.metrics labels")
-		if lm == nil {
-			return ma, false
-		}
-		ma.Labels = map[string]string{}
-		for _, k := range lm.keys {
-			v := lm.children[k]
-			if v.kind != nScalar {
-				d.errf(v.line, "assert.metrics label %q must be a string", k)
-				continue
-			}
-			ma.Labels[k] = v.text
-		}
-	}
-	ma.Range.Min = d.optFloat(m, "min", "assert.metrics")
-	ma.Range.Max = d.optFloat(m, "max", "assert.metrics")
-	if ma.Range.Min == nil && ma.Range.Max == nil {
+	} else if ma.Min == nil && ma.Max == nil {
 		d.errf(m.line, "assert.metrics entry needs min and/or max")
-		return ma, false
 	}
-	return ma, true
+}
+
+func (l *metricLabels) decodeScn(d *decoder, n *node, _, _ string) bool {
+	m := d.asMap(n, "assert.metrics labels")
+	if m == nil {
+		return false
+	}
+	*l = metricLabels{}
+	for _, k := range m.keys {
+		v := m.children[k]
+		if v.kind != nScalar {
+			d.errf(v.line, "assert.metrics label %q must be a string", k)
+			continue
+		}
+		(*l)[k] = v.text
+	}
+	return true
 }
 
 // ---- checking ----

@@ -25,185 +25,52 @@ import (
 	"repro/internal/obs"
 	"repro/internal/quarantine"
 	"repro/internal/remediate"
-	"repro/internal/screen"
 	"repro/internal/simtime"
 )
 
-// Compile lowers the scenario onto a fleet.Config: the defaults, with
-// every field the file actually set overriding.
+// Compile lowers the scenario onto a fleet.Config: the fleet section
+// already holds the defaults with every knob the file set; the
+// sub-sections whose shape differs from the config's map onto it here.
 func (s *Scenario) Compile() (fleet.Config, error) {
-	cfg := fleet.DefaultConfig()
-	cfg.Machines = s.Fleet.Machines
-	cfg.CoresPerMachine = s.Fleet.Cores
+	fd := &s.Fleet
+	cfg := fd.Config
 	if s.Seed != nil {
 		cfg.Seed = *s.Seed
 	}
-	fd := &s.Fleet
-	setF := func(dst *float64, src *float64) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setF(&cfg.DefectsPerMachine, fd.DefectsPerMachine)
-	setF(&cfg.DailyOpsPerCore, fd.DailyOpsPerCore)
-	setF(&cfg.PImmediateDetect, fd.PImmediateDetect)
-	setF(&cfg.PCrash, fd.PCrash)
-	setF(&cfg.PMCE, fd.PMCE)
-	setF(&cfg.PLateDetect, fd.PLateDetect)
-	setF(&cfg.PCoreAttribution, fd.PCoreAttribution)
-	setF(&cfg.SoftwareBugSignalsPerMachineDay, fd.SoftwareBugSignalsPerDay)
-	setF(&cfg.UserReportFraction, fd.UserReportFraction)
-	if fd.ScreenOpsPerCoreDay != nil {
-		cfg.ScreenOpsPerCoreDay = *fd.ScreenOpsPerCoreDay
-	}
-	if fd.InitialCorpus != nil {
-		cfg.InitialCorpus = *fd.InitialCorpus
-	}
-	if fd.CorpusGrowEveryDays != nil {
-		cfg.CorpusGrowEveryDays = *fd.CorpusGrowEveryDays
-	}
-	if fd.MaxSignalsPerCoreDay != nil {
-		cfg.MaxSignalsPerCoreDay = *fd.MaxSignalsPerCoreDay
-	}
-	if fd.RepairAfterDays != nil {
-		cfg.RepairAfterDays = *fd.RepairAfterDays
-	}
-	if fd.Policy != nil {
-		if fd.Policy.Mode != "" {
-			mode, err := policyMode(fd.Policy.Mode)
-			if err != nil {
-				return cfg, err
+	if p := fd.Policy; p != nil {
+		cfg.Policy = p.Policy
+		if p.ModeName != "" {
+			mode, ok := policyModes[p.ModeName]
+			if !ok {
+				return cfg, fmt.Errorf("scenario: unknown policy mode %q", p.ModeName)
 			}
 			cfg.Policy.Mode = mode
 		}
-		if fd.Policy.MinScore != nil {
-			cfg.Policy.MinScore = *fd.Policy.MinScore
-		}
-		if fd.Policy.RequireConfession != nil {
-			cfg.Policy.RequireConfession = *fd.Policy.RequireConfession
-		}
-		if fd.Policy.DeclineRetryDays != nil {
-			cfg.Policy.DeclineRetry = simtime.Time(*fd.Policy.DeclineRetryDays) * simtime.Day
+		if p.DeclineRetryDays != nil {
+			cfg.Policy.DeclineRetry = simtime.Time(*p.DeclineRetryDays) * simtime.Day
 		}
 	}
 	if fd.Confession != nil {
-		passes, maxOps := 60, uint64(15_000_000)
-		if fd.Confession.Passes != nil {
-			passes = *fd.Confession.Passes
-		}
-		if fd.Confession.MaxOps != nil {
-			maxOps = *fd.Confession.MaxOps
-		}
-		cfg.ConfessionConfig = screen.NewConfig(
-			screen.WithPasses(passes),
-			screen.WithSweep(2, 1, 2),
-			screen.WithMaxOps(maxOps),
-		)
-		// New(cfg) only defaults the policy's screen from the fleet's
-		// when the policy screen is unset; keep them in sync explicitly.
-		cfg.Policy.ConfessionConfig = screen.Config{}
+		cfg.ConfessionConfig = fd.Confession.Config
 	}
 	for _, sku := range fd.SKUs {
-		cfg.SKUs = append(cfg.SKUs, fleet.SKU{
-			Name:             sku.Name,
-			Fraction:         sku.Fraction,
-			DefectMultiplier: sku.DefectMultiplier,
-			PreAgeDays:       sku.PreAgeDays,
-		})
+		cfg.SKUs = append(cfg.SKUs, sku.SKU)
 	}
-	if fd.Lifecycle != nil {
-		cfg.Lifecycle.Enabled = fd.Lifecycle.Enabled
-		if fd.Lifecycle.MaxRepairs != nil {
-			cfg.Lifecycle.MaxRepairs = *fd.Lifecycle.MaxRepairs
-		}
-		if fd.Lifecycle.ProbationDays != nil {
-			cfg.Lifecycle.ProbationDays = *fd.Lifecycle.ProbationDays
-		}
-		for _, p := range fd.Lifecycle.Pools {
-			pc := lifecycle.PoolConfig{Name: p.Name}
-			if p.MinHealthy != nil {
-				pc.MinHealthy = *p.MinHealthy
-			}
-			if p.MinHealthyCount != nil {
-				pc.MinHealthyCount = *p.MinHealthyCount
-			}
-			cfg.Lifecycle.Pools = append(cfg.Lifecycle.Pools, pc)
-		}
-		cfg.Remediate.Policy = fd.Lifecycle.Policy
-		if fd.Lifecycle.ScoreThreshold != nil {
-			cfg.Remediate.ScoreThreshold = *fd.Lifecycle.ScoreThreshold
-		}
-		if fd.Lifecycle.MaxRetests != nil {
-			cfg.Remediate.MaxRetests = *fd.Lifecycle.MaxRetests
-		}
-		if fd.Lifecycle.RepairTicketsPerPool != nil {
-			cfg.Remediate.RepairTicketsPerPool = *fd.Lifecycle.RepairTicketsPerPool
-		}
+	if lc := fd.Lifecycle; lc != nil {
 		// WAL and Notify are run-scoped resources (temp file, collector
 		// server); Run materializes them after Compile.
+		cfg.Lifecycle, cfg.Remediate = lc.LifecycleConfig, lc.RemediateConfig
+		for _, p := range lc.Pools {
+			cfg.Lifecycle.Pools = append(cfg.Lifecycle.Pools, p.PoolConfig)
+		}
 	}
-	if s.Workloads.KVDB != nil {
-		cfg.KVDB = kvConfig(s.Workloads.KVDB)
+	if k := s.Workloads.KVDB; k != nil {
+		cfg.KVDB = k.KVDBConfig
 	}
-	if s.Workloads.TaskRun != nil {
-		cfg.TaskRun = taskRunConfig(s.Workloads.TaskRun)
+	if t := s.Workloads.TaskRun; t != nil {
+		cfg.TaskRun = t.TaskRunConfig
 	}
 	return cfg, nil
-}
-
-func policyMode(name string) (quarantine.Mode, error) {
-	switch name {
-	case "machine-drain":
-		return quarantine.MachineDrain, nil
-	case "core-removal":
-		return quarantine.CoreRemoval, nil
-	case "safe-tasks":
-		return quarantine.SafeTasks, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown policy mode %q", name)
-}
-
-func kvConfig(k *KVDef) fleet.KVDBConfig {
-	cfg := fleet.KVDBConfig{Stores: k.Stores}
-	if k.Replicas != nil {
-		cfg.Replicas = *k.Replicas
-	}
-	if k.Rows != nil {
-		cfg.Rows = *k.Rows
-	}
-	if k.ReadsPerDay != nil {
-		cfg.ReadsPerDay = *k.ReadsPerDay
-	}
-	if k.WritesPerDay != nil {
-		cfg.WritesPerDay = *k.WritesPerDay
-	}
-	if k.ValueBytes != nil {
-		cfg.ValueBytes = *k.ValueBytes
-	}
-	if k.MaxRetries != nil {
-		cfg.MaxRetries = *k.MaxRetries
-	}
-	if k.AvoidScore != nil {
-		cfg.AvoidScore = *k.AvoidScore
-	}
-	return cfg
-}
-
-func taskRunConfig(t *TaskRunDef) fleet.TaskRunConfig {
-	cfg := fleet.TaskRunConfig{Tasks: t.Tasks}
-	if t.GranulesPerTask != nil {
-		cfg.GranulesPerTask = *t.GranulesPerTask
-	}
-	if t.MaxRetries != nil {
-		cfg.MaxRetries = *t.MaxRetries
-	}
-	if t.DivergenceThreshold != nil {
-		cfg.DivergenceThreshold = *t.DivergenceThreshold
-	}
-	if t.Paranoid != nil {
-		cfg.Paranoid = *t.Paranoid
-	}
-	return cfg
 }
 
 // Options configures one scenario run. The zero value is usable: default
@@ -471,12 +338,12 @@ func applyEvent(f *fleet.Fleet, ev Event, env *runEnv) error {
 		f.SetOperatingPoint(pt)
 		return nil
 	case EvStartKVLoad:
-		return f.StartKVLoad(kvConfig(ev.KV))
+		return f.StartKVLoad(ev.KV.KVDBConfig)
 	case EvStopKVLoad:
 		f.StopKVLoad()
 		return nil
 	case EvStartTaskRun:
-		return f.StartTaskRun(taskRunConfig(ev.TaskRun))
+		return f.StartTaskRun(ev.TaskRun.TaskRunConfig)
 	case EvStopTaskRun:
 		f.StopTaskRun()
 		return nil

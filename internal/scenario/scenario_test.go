@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -23,7 +24,7 @@ func TestDecodeValidCorpus(t *testing.T) {
 		if s.Name == "" || s.Days <= 0 || s.Fleet.Machines <= 0 {
 			t.Errorf("%s: incomplete scenario %+v", path, s)
 		}
-		if s.Assert.Empty() {
+		if s.Assert.Count() == 0 {
 			t.Errorf("%s: shipped scenarios must declare assertions", path)
 		}
 		if _, err := s.Compile(); err != nil {
@@ -51,6 +52,7 @@ func TestDecodeInvalidGolden(t *testing.T) {
 				t.Fatalf("Parse accepted invalid input")
 			}
 			got := strings.Split(strings.TrimSpace(perr.Error()), "\n")
+			requireSortedByLine(t, got)
 			wantRaw, err := os.ReadFile(strings.TrimSuffix(path, ".yaml") + ".want")
 			if err != nil {
 				t.Fatal(err)
@@ -68,6 +70,44 @@ func TestDecodeInvalidGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// requireSortedByLine fails unless every "file:line: msg" is on a line no
+// earlier than the one before it.
+func requireSortedByLine(t *testing.T, errs []string) {
+	t.Helper()
+	prev := 0
+	for _, e := range errs {
+		line, err := strconv.Atoi(strings.SplitN(e, ":", 3)[1])
+		if err != nil || line < prev {
+			t.Fatalf("errors not sorted by line:\n  %s", strings.Join(errs, "\n  "))
+		}
+		prev = line
+	}
+}
+
+// TestErrorsSortedByLine pins the report order: a check that runs after
+// the whole file decoded (the lifecycle prerequisites, line 3) still
+// prints before a later line's error found while decoding (line 10).
+func TestErrorsSortedByLine(t *testing.T) {
+	src := `name: order
+days: 3
+fleet: {machines: 4, cores_per_machine: 2, lifecycle: {enabled: false, wal: true}}
+assert:
+  corruptions: 0
+events:
+  - day: 1
+    drain_machine:
+      machine: m00001
+  - day: 9
+    undrain_machine: {machine: m00001}
+`
+	_, err := Parse("o.yaml", []byte(src))
+	want := "o.yaml:3: fleet.lifecycle options (wal, pools, policy, notify) require enabled: true\n" +
+		"o.yaml:10: event.day 9 out of range [0, 3)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("errors:\n%v\nwant:\n%s", err, want)
 	}
 }
 
@@ -120,14 +160,14 @@ assert:
 	if s.Seed == nil || *s.Seed != 99 || s.Days != 12 || s.Parallelism != 3 {
 		t.Errorf("header: %+v", s)
 	}
-	if s.Fleet.RepairAfterDays == nil || *s.Fleet.RepairAfterDays != 7 {
+	if s.Fleet.RepairAfterDays != 7 {
 		t.Errorf("repair_after_days: %+v", s.Fleet.RepairAfterDays)
 	}
-	if s.Fleet.Policy == nil || s.Fleet.Policy.Mode != "machine-drain" ||
+	if s.Fleet.Policy == nil || s.Fleet.Policy.ModeName != "machine-drain" ||
 		s.Fleet.Policy.DeclineRetryDays == nil || *s.Fleet.Policy.DeclineRetryDays != 5 {
 		t.Errorf("policy: %+v", s.Fleet.Policy)
 	}
-	if s.Workloads.KVDB == nil || s.Workloads.KVDB.Stores != 2 || *s.Workloads.KVDB.Replicas != 5 {
+	if s.Workloads.KVDB == nil || s.Workloads.KVDB.Stores != 2 || s.Workloads.KVDB.Replicas != 5 {
 		t.Errorf("kvdb: %+v", s.Workloads.KVDB)
 	}
 	if len(s.Events) != 2 {
@@ -197,16 +237,16 @@ assert:
 	if lc == nil || !lc.Enabled || !lc.WAL || lc.Policy != "swap" || lc.Notify != "webhook" {
 		t.Fatalf("lifecycle: %+v", lc)
 	}
-	if lc.RepairTicketsPerPool == nil || *lc.RepairTicketsPerPool != 2 {
+	if lc.RepairTicketsPerPool != 2 {
 		t.Fatalf("repair tickets: %+v", lc.RepairTicketsPerPool)
 	}
 	if len(lc.Pools) != 2 || lc.Pools[0].Name != "web" || lc.Pools[1].Name != "db" {
 		t.Fatalf("pools: %+v", lc.Pools)
 	}
-	if lc.Pools[0].MinHealthy == nil || *lc.Pools[0].MinHealthy != 0.75 {
+	if lc.Pools[0].MinHealthy != 0.75 {
 		t.Fatalf("pool web: %+v", lc.Pools[0])
 	}
-	if lc.Pools[1].MinHealthyCount == nil || *lc.Pools[1].MinHealthyCount != 3 {
+	if lc.Pools[1].MinHealthyCount != 3 {
 		t.Fatalf("pool db: %+v", lc.Pools[1])
 	}
 	if len(s.Events) != 2 {

@@ -22,7 +22,7 @@ type Config struct {
 	Workloads []corpus.Workload
 	// Passes repeats the whole corpus this many times per operating
 	// point (intermittent defects need repetition). Minimum 1.
-	Passes int
+	Passes int `scn:"passes"`
 	// Points is the set of operating points to sweep; nil means screen
 	// only at the core's current point. Offline screening "could involve
 	// exposing CPUs to operating conditions outside normal ranges" (§6).
@@ -31,7 +31,7 @@ type Config struct {
 	// policy; when false the full budget runs (better characterization).
 	StopOnDetect bool
 	// MaxOps bounds the session's engine-operation budget; 0 = unlimited.
-	MaxOps uint64
+	MaxOps uint64 `scn:"max_ops"`
 	// Metrics, when set, receives screening telemetry (sessions, passes,
 	// detections, ops). Recording is lock-free, so sessions sharded
 	// across workers may share one registry. Nil records nothing.
