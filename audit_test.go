@@ -22,8 +22,6 @@ import (
 var keptUnreferenced = map[string]string{
 	"internal/check.CheckedMatMul":              "§3/§9 result-checker library (DESIGN.md §3); covered by its check tests",
 	"internal/check.CheckedSearch":              "§3/§9 result-checker library (DESIGN.md §3); covered by its check tests",
-	"internal/core.Machine.ScreenCore":          "public façade (DESIGN.md §3 core row); covered by core tests",
-	"internal/core.MustMachine":                 "public façade (DESIGN.md §3 core row); covered by core tests",
 	"internal/cpu.CPU.Halted":                   "machine state the cpu tests read to see a program reach HLT",
 	"internal/cpu.FaultCoverage":                "§4 coverage residue behind README's 98% adder claim; TestFaultCoverageSubstantialButIncomplete",
 	"internal/detect.ShardedTracker.Reports":    "mirrors Tracker.Reports for the sharded-vs-single equivalence tests",
@@ -41,6 +39,7 @@ var keptUnreferenced = map[string]string{
 	"internal/isa.Mnemonics":                    "assembler round-trip half; FuzzAssemble and the isa tests use it",
 	"internal/kvdb.ClientSink":                  "per-signal HTTP sink; kvdb.TestTolerantEndToEndLoop drives the store-to-ceereportd loop through it",
 	"internal/kvdb.DB.GetCompared":              "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
+	"internal/kvdb.DB.Put":                      "raw replicated write the E10 incident tests and the kvdb replica tests seed rows with",
 	"internal/kvdb.DB.QueryByValue":             "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
 	"internal/kvdb.DB.QueryByValueCompared":     "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
 	"internal/kvdb.DB.ReadRepair":               "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
@@ -98,6 +97,7 @@ var keptUnreferenced = map[string]string{
 	"internal/storage.Store.Len":                "E10 GC-lost-live-data incident (internal/incidents, DESIGN.md §3)",
 	"internal/storage.Store.PutFromClient":      "E10 GC-lost-live-data incident (internal/incidents, DESIGN.md §3)",
 	"internal/storage.Store.Scrub":              "E10 GC-lost-live-data incident (internal/incidents, DESIGN.md §3)",
+	"internal/taskrun.NewPool":                  "single-machine harness the taskrun tests and the root BenchmarkAblation* build supervisors on",
 	"internal/taskrun.Supervisor.Divergences":   "per-core divergence count the taskrun escalation test asserts",
 	"internal/xrand.RNG.Perm":                   "PRNG API pinned by TestPermIsPermutation and TestQuickPermValid",
 }
@@ -198,18 +198,8 @@ func unreferencedExports() (map[string]string, error) {
 		pkgs: map[string]*types.Package{},
 	}
 	c.std = importer.ForCompiler(c.fset, "source", nil)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() || path == "." {
-			return err // the root package holds only tests
-		}
-		if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		_, err = c.load(filepath.ToSlash(path))
-		var noGo *build.NoGoError
-		if errors.As(err, &noGo) {
-			return nil
-		}
+	err := walkPackageDirs(func(dir string) error {
+		_, err := c.load(dir)
 		return err
 	})
 	if err != nil {
@@ -249,6 +239,27 @@ func unreferencedExports() (map[string]string, error) {
 		}
 	}
 	return found, nil
+}
+
+// walkPackageDirs calls fn with every directory below the module root, as
+// a slash path, skipping hidden and testdata directories. A
+// build.NoGoError from fn skips the directory; any other error stops the
+// walk.
+func walkPackageDirs(fn func(dir string) error) error {
+	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == "." {
+			return err // the root package holds only tests
+		}
+		if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		err = fn(filepath.ToSlash(path))
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		return err
+	})
 }
 
 // interfacesByMethod indexes by method name every interface declared in a

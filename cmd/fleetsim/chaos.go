@@ -44,11 +44,7 @@ type chaosScale struct {
 func cmdChaos(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetsim chaos", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	quick := fs.Bool("quick", false, "smaller storms for a sub-second smoke run")
-	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: fleetsim chaos [-quick]")
-		fs.PrintDefaults()
-	}
+	fs.Usage = func() { fmt.Fprintln(stderr, "usage: fleetsim chaos") }
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -57,9 +53,6 @@ func cmdChaos(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	sc := chaosScale{machines: 48, rounds: 18, actions: 96, events: 128}
-	if *quick {
-		sc = chaosScale{machines: 16, rounds: 6, actions: 24, events: 32}
-	}
 
 	dir, err := os.MkdirTemp("", "fleetsim-chaos-")
 	if err != nil {

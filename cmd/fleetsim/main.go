@@ -5,7 +5,7 @@
 //	fleetsim validate scenarios/*.yaml         # schema-check without running
 //	fleetsim experiments -experiment F1        # the paper's experiment registry
 //	fleetsim experiments -experiment all -scale full
-//	fleetsim chaos -quick                      # fault-inject the control plane
+//	fleetsim chaos                             # fault-inject the control plane
 //
 // A scenario file (see scenarios/ and DESIGN.md §10) declares the fleet,
 // a timeline of events (defect injection, drains, operating-point
@@ -41,7 +41,7 @@ Commands:
   run <scenario.yaml>      run one scenario and check its assertions
   validate <file>...       parse and schema-check scenario files
   experiments [flags]      print the paper's experiment tables
-  chaos [-quick]           fault-inject the control plane, check its invariants
+  chaos                    fault-inject the control plane, check its invariants
   help                     show this message
 
 Run 'fleetsim <command> -h' for the command's flags. Performance is

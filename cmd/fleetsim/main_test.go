@@ -25,6 +25,7 @@ assert:
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	traced := t.TempDir()
 	golden, err := os.ReadFile("../../experiments_output.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +37,8 @@ assert:
 		stdout string // stdout must contain it
 	}{
 		{"run", []string{"run", "../../scenarios/quickstart.yaml"}, 0, "assertions: all passed\n"},
+		{"run traced", []string{"run", "-trace", filepath.Join(traced, "t.jsonl"), "-metrics", filepath.Join(traced, "m.prom"),
+			"../../scenarios/quickstart.yaml"}, 0, "trace self-check: detection report derived from trace matches ground truth\n"},
 		{"run with an unmet assertion", []string{"run", unmet}, 1, ""},
 		{"validate the corpus", append([]string{"validate"}, glob(t, "../../scenarios/*.yaml")...), 0, "ok\t"},
 		{"validate counts every assertion kind", []string{"validate",

@@ -14,8 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	cores := fs.Int("cores", 8, "cores on the machine")
 	coreIdx := fs.Int("core", 2, "index of the defective core")
-	class := fs.String("class", "crypto-self-inverting", "defect class (see screener -list)")
+	class := fs.String("class", "crypto-self-inverting", "defect class: one of "+strings.Join(fault.ClassNames(), ", "))
 	mode := fs.String("mode", "core-removal", "isolation mode: machine-drain | core-removal | safe-tasks")
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	if err := fs.Parse(args); err != nil {
@@ -56,12 +56,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	m, err := core.NewMachine("host0", *cores, *seed, core.WithDefectClass(*coreIdx, *class))
-	if err != nil {
-		fmt.Fprintln(stderr, "mercury:", err)
+	if *cores < 1 {
+		fmt.Fprintf(stderr, "mercury: -cores %d: the machine needs at least one core\n", *cores)
 		return 2
 	}
-	d := m.Core(*coreIdx).Defects[0]
+	if *coreIdx < 0 || *coreIdx >= *cores {
+		fmt.Fprintf(stderr, "mercury: -core %d: outside [0, %d)\n", *coreIdx, *cores)
+		return 2
+	}
+	spec, err := fault.ClassByName(*class)
+	if err != nil {
+		fmt.Fprintf(stderr, "mercury: -class %q: unknown defect class (known: %s)\n",
+			*class, strings.Join(fault.ClassNames(), ", "))
+		return 2
+	}
+
+	// Build the machine: one fault-model core per index, the staged defect
+	// sampled from a fork of the machine RNG just before its core is made.
+	// The goldens pin this order of RNG use.
+	machineRNG := xrand.New(*seed)
+	machine := make([]*fault.Core, *cores)
+	for i := range machine {
+		var ds []fault.Defect
+		if i == *coreIdx {
+			ds = append(ds, spec.Sample(fmt.Sprintf("host0-c%d-%s", i, spec.Name), machineRNG.ForkString(spec.Name)))
+		}
+		machine[i] = fault.NewCore(fmt.Sprintf("host0/c%d", i), machineRNG, ds...)
+	}
+	d := machine[*coreIdx].Defects[0]
 	fmt.Fprintf(stdout, "staged defect on host0/%d: %v\n\n", *coreIdx, &d)
 
 	// Step 1: production incidents. Applications report suspect cores to
@@ -96,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Step 3: confession screening against the physical core.
 	fmt.Fprintln(stdout, "[3] confession screening (deep corpus sweep over f, V, T)")
-	conf := detect.Confess(m.Core(top.Core), screen.Deep(), xrand.New(*seed+2))
+	conf := detect.Confess(machine[top.Core], screen.Deep(), xrand.New(*seed+2))
 	if !conf.Confirmed {
 		fmt.Fprintln(stdout, "    no confession extracted: exonerated (false accusation or limited reproducibility)")
 		return 0
@@ -110,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Step 3b: forensic classification — is this a known defect mode or
 	// a novel one needing a new automatable test (§6/§9)?
 	fmt.Fprintln(stdout, "[3b] forensic classification")
-	characterization := screen.Screen(m.Core(top.Core),
+	characterization := screen.Screen(machine[top.Core],
 		screen.NewConfig(screen.WithPasses(2), screen.WithSweep(2, 1, 2),
 			screen.WithStopOnDetect(false)), xrand.New(*seed+9))
 	db := forensics.NewModeDB()
@@ -141,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	mgr := quarantine.NewManager(cluster, quarantine.Policy{Mode: qmode})
 	rec, err := mgr.Handle(top, 0, func(cfg screen.Config) detect.Confession {
-		return detect.Confess(m.Core(top.Core), cfg, xrand.New(*seed+3))
+		return detect.Confess(machine[top.Core], cfg, xrand.New(*seed+3))
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "mercury:", err)
@@ -162,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Step 5: show the defect is really gone from the serving path.
 	fmt.Fprintln(stdout, "\n[5] verification: workload re-run on a healthy core")
-	e := engine.New(m.Core((top.Core + 1) % *cores))
+	e := engine.New(machine[(top.Core+1)%*cores])
 	if e.Add64(2, 2) == 4 {
 		fmt.Fprintln(stdout, "    2 + 2 = 4 — the fleet counts again")
 	}

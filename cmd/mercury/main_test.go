@@ -57,3 +57,27 @@ func TestRunUnknownMode(t *testing.T) {
 		t.Fatalf("stdout %q, stderr %q", stdout.String(), stderr.String())
 	}
 }
+
+// TestRunBadMachine pins the machine-shape checks: each bad flag exits 2
+// before any narration, naming the flag on stderr.
+func TestRunBadMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown-class", []string{"-class", "bogus"}, `-class "bogus": unknown defect class (known: alu-stuck-bit, `},
+		{"core-out-of-range", []string{"-core", "8", "-cores", "8"}, "-core 8: outside [0, 8)"},
+		{"no-cores", []string{"-cores", "0"}, "-cores 0:"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2", code)
+			}
+			if stdout.Len() != 0 || !bytes.Contains(stderr.Bytes(), []byte(tc.want)) {
+				t.Fatalf("stdout %q, stderr %q", stdout.String(), stderr.String())
+			}
+		})
+	}
+}

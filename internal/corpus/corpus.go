@@ -131,13 +131,3 @@ func ByName(name string) (Workload, error) {
 	}
 	return nil, fmt.Errorf("corpus: unknown workload %q", name)
 }
-
-// Names returns the names of all workloads, in registry order.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, w := range all {
-		names[i] = w.Name()
-	}
-	return names
-}

@@ -35,7 +35,8 @@ func TestAllWorkloadsPassOnHealthyCore(t *testing.T) {
 }
 
 func TestWorkloadsDeterministic(t *testing.T) {
-	for _, name := range Names() {
+	for _, w := range All() {
+		name := w.Name()
 		w1, _ := ByName(name)
 		w2, _ := ByName(name)
 		r1 := w1.Run(healthyEngine(5), xrand.New(9))
@@ -57,12 +58,13 @@ func TestByName(t *testing.T) {
 }
 
 func TestNamesUniqueAndNonEmpty(t *testing.T) {
-	names := Names()
-	if len(names) < 10 {
-		t.Fatalf("corpus too small: %d workloads", len(names))
+	all := All()
+	if len(all) < 10 {
+		t.Fatalf("corpus too small: %d workloads", len(all))
 	}
 	seen := map[string]bool{}
-	for _, n := range names {
+	for _, w := range all {
+		n := w.Name()
 		if n == "" || seen[n] {
 			t.Fatalf("bad or duplicate name %q", n)
 		}

@@ -33,8 +33,8 @@ type E7Row struct {
 type E7Result struct{ Rows []E7Row }
 
 // E7 measures the cost/efficacy of §7's mitigations on a pool with one
-// mercurial core: unprotected, DMR-with-retry, TMR, 5-modular, verified
-// library (cross-core self-check), and checkpoint/restart.
+// mercurial core: unprotected, DMR-with-retry, TMR, 5-modular and verified
+// library (cross-core self-check).
 func E7(s Scale) E7Result {
 	runs := 60
 	blocks := 64

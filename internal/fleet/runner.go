@@ -184,9 +184,6 @@ func (r *Runner) recordDay(st DayStats) {
 // quarantine manager, scheduler) for metrics and inspection.
 func (r *Runner) Fleet() *Fleet { return r.fleet }
 
-// Parallelism returns the effective worker count.
-func (r *Runner) Parallelism() int { return r.fleet.parallelism }
-
 // Step advances the simulation one day and notifies observers.
 func (r *Runner) Step() DayStats {
 	start := time.Now()

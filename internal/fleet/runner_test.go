@@ -79,14 +79,14 @@ func TestRunnerObserverSeesEveryDay(t *testing.T) {
 func TestRunnerParallelismDefaultsToGOMAXPROCS(t *testing.T) {
 	cfg := testConfig()
 	cfg.Machines = 10
-	if got := newTestRunner(t, cfg).Parallelism(); got != runtime.GOMAXPROCS(0) {
+	if got := newTestRunner(t, cfg).fleet.parallelism; got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("default parallelism = %d, want GOMAXPROCS", got)
 	}
 	r, err := NewRunner(cfg, WithParallelism(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Parallelism(); got != 3 {
+	if got := r.fleet.parallelism; got != 3 {
 		t.Fatalf("parallelism = %d, want 3", got)
 	}
 }

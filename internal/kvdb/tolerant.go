@@ -65,15 +65,6 @@ type SignalSink func(detect.Signal) error
 // one ingest per drained batch instead of one per signal.
 type BatchSignalSink func([]detect.Signal) error
 
-// ServerSink delivers signals in-process to a report server — the fleet
-// simulator's path.
-func ServerSink(s *report.Server) SignalSink {
-	return func(sig detect.Signal) error {
-		s.Ingest(sig)
-		return nil
-	}
-}
-
 // ClientSink delivers signals to a remote ceereportd over HTTP via the
 // report client (which retries transport failures with backoff).
 func ClientSink(c *report.Client) SignalSink {
@@ -112,90 +103,6 @@ func ClientBatchSink(c *report.Client) BatchSignalSink {
 // its suspect score crossed a threshold. Avoided replicas are still used
 // when every alternative has been tried (capacity over health).
 type HealthFunc func(machine string, core int) bool
-
-// HealthCacheTTL is the memoization window TrackerHealth uses for the
-// tracker's suspect nominations. Suspect scores move on signal-ingest
-// timescales (per-day in the simulator, seconds in a deployment), so a
-// few milliseconds of staleness is invisible — while re-walking the full
-// suspects() slice once per replica per read is an O(replicas × suspects)
-// tax on the hottest path in the store.
-const HealthCacheTTL = 5 * time.Millisecond
-
-// TrackerHealth builds a HealthFunc from the two live views a deployment
-// has: the quarantine ledger and the tracker's suspect nominations. A
-// replica is avoided when its core is isolated, or when a current suspect
-// for that exact core scores at least minScore. Nomination lookups are
-// memoized for HealthCacheTTL (see TrackerHealthTTL).
-func TrackerHealth(isolated func(machine string, core int) bool,
-	suspects func() []detect.Suspect, minScore float64) HealthFunc {
-	return TrackerHealthTTL(isolated, suspects, minScore, HealthCacheTTL, time.Now)
-}
-
-// TrackerHealthTTL is TrackerHealth with an explicit memoization window
-// and clock (the clock seam exists for tests; nil means time.Now). The
-// isolated view is always consulted live — quarantine decisions must
-// reroute immediately. The suspects() slice is folded into a set at most
-// once per ttl; ttl <= 0 disables caching and re-evaluates suspects() on
-// every query, the historical behavior.
-func TrackerHealthTTL(isolated func(machine string, core int) bool,
-	suspects func() []detect.Suspect, minScore float64,
-	ttl time.Duration, now func() time.Time) HealthFunc {
-	if ttl <= 0 {
-		return func(machine string, core int) bool {
-			if machine == "" || core < 0 {
-				return false
-			}
-			if isolated != nil && isolated(machine, core) {
-				return true
-			}
-			if suspects == nil {
-				return false
-			}
-			for _, s := range suspects() {
-				if s.Machine == machine && s.Core == core && s.Score() >= minScore {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	if now == nil {
-		now = time.Now
-	}
-	type coreKey struct {
-		machine string
-		core    int
-	}
-	var (
-		mu      sync.Mutex
-		cached  map[coreKey]bool
-		expires time.Time
-	)
-	return func(machine string, core int) bool {
-		if machine == "" || core < 0 {
-			return false
-		}
-		if isolated != nil && isolated(machine, core) {
-			return true
-		}
-		if suspects == nil {
-			return false
-		}
-		mu.Lock()
-		if cached == nil || !now().Before(expires) {
-			cached = map[coreKey]bool{}
-			for _, s := range suspects() {
-				if s.Score() >= minScore {
-					cached[coreKey{s.Machine, s.Core}] = true
-				}
-			}
-			expires = now().Add(ttl)
-		}
-		avoid := cached[coreKey{machine, core}]
-		mu.Unlock()
-		return avoid
-	}
-}
 
 // TolerantConfig parameterizes the serving layer.
 type TolerantConfig struct {

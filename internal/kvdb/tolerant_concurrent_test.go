@@ -256,71 +256,6 @@ func mustTestDB(t *testing.T) *DB {
 	return db
 }
 
-// TestTrackerHealthTTLEquivalence proves the memoized health view gives
-// the same answers as the historical per-call suspects() sweep, while
-// calling suspects() once per TTL window instead of once per query.
-func TestTrackerHealthTTLEquivalence(t *testing.T) {
-	suspectSet := []detect.Suspect{
-		{Machine: "m0", Core: 2, Reports: 10, PValue: 1e-6}, // score 60
-		{Machine: "m1", Core: 0, Reports: 2, PValue: 0.5},   // score ~0.6
-		{Machine: "m2", Core: 7, Reports: 8, PValue: 1e-4},  // score 32
-	}
-	var calls atomic.Int64
-	suspects := func() []detect.Suspect {
-		calls.Add(1)
-		return append([]detect.Suspect(nil), suspectSet...)
-	}
-	isolated := func(machine string, core int) bool {
-		return machine == "iso" && core == 0
-	}
-	clock := time.Unix(0, 0)
-	now := func() time.Time { return clock }
-
-	naive := TrackerHealthTTL(isolated, suspects, 10, 0, nil)
-	cached := TrackerHealthTTL(isolated, suspects, 10, 50*time.Millisecond, now)
-
-	queries := []struct {
-		machine string
-		core    int
-	}{
-		{"m0", 2}, {"m0", 1}, {"m1", 0}, {"m2", 7}, {"m3", 4},
-		{"iso", 0}, {"", 3}, {"m0", -1}, {"m0", 2}, {"m2", 7},
-	}
-	calls.Store(0)
-	for _, q := range queries {
-		want := naive(q.machine, q.core)
-		calls.Store(0)
-		if got := cached(q.machine, q.core); got != want {
-			t.Fatalf("cached(%q,%d) = %v, naive = %v", q.machine, q.core, got, want)
-		}
-		cachedCalls := calls.Load()
-		calls.Store(0)
-		if cachedCalls > 1 {
-			t.Fatalf("cached(%q,%d) swept suspects %d times in one query", q.machine, q.core, cachedCalls)
-		}
-	}
-	// Within the TTL the snapshot is reused: a burst of queries costs at
-	// most the one sweep that built it.
-	calls.Store(0)
-	for i := 0; i < 100; i++ {
-		cached("m0", 2)
-		cached("m2", 7)
-	}
-	if got := calls.Load(); got > 1 {
-		t.Fatalf("suspects() swept %d times inside one TTL window, want <= 1", got)
-	}
-	// After expiry the next query rebuilds the snapshot and sees changes.
-	suspectSet[0].PValue = 1 // score drops to ~0: m0/2 no longer avoided
-	clock = clock.Add(51 * time.Millisecond)
-	if cached("m0", 2) {
-		t.Fatal("expired snapshot not rebuilt: m0/2 still avoided")
-	}
-	// Isolation is always consulted live, never cached.
-	if !cached("iso", 0) {
-		t.Fatal("isolated core not avoided")
-	}
-}
-
 // TestShardedStressStatsReconcile hammers the sharded store from many
 // goroutines — mixed Get/GetTraced/Put/QueryByValue against a replica set
 // that includes a deterministically corrupt core — and then reconciles

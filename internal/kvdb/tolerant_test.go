@@ -369,9 +369,9 @@ func TestTolerantEndToEndLoop(t *testing.T) {
 	var now simtime.Time
 	tdb := NewTolerant(db, TolerantConfig{
 		Sink: ClientSink(&report.Client{BaseURL: ts.URL}),
-		Health: TrackerHealth(func(machine string, core int) bool {
+		Health: func(machine string, core int) bool {
 			return mgr.Isolated(sched.CoreRef{Machine: machine, Core: core})
-		}, srv.Suspects, 1e9), // threshold beyond reach: quarantine does the rerouting
+		},
 		Metrics: reg,
 		Now:     func() simtime.Time { return now },
 	})

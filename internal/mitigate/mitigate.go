@@ -1,7 +1,8 @@
 // Package mitigate implements the CEE-tolerance mechanisms sketched in §7:
 // dual-modular execution with retry on disagreement, triple-modular
-// redundancy with majority voting, checkpoint/restart with invariant
-// checks, and selective replication of critical computations.
+// redundancy with majority voting, and selective replication of critical
+// computations. Checkpoint/restart on a different core lives in package
+// taskrun.
 //
 // All mechanisms run a Computation on cores drawn from a pool; the paper's
 // "run a computation on two cores, and if they disagree, restart on a
@@ -26,7 +27,7 @@ type Computation func(*engine.Engine) []byte
 // majority answer.
 var ErrNoQuorum = errors.New("mitigate: no majority among replicas")
 
-// ErrRetriesExhausted reports that DMR or checkpoint retries ran out.
+// ErrRetriesExhausted reports that DMR retries ran out.
 var ErrRetriesExhausted = errors.New("mitigate: retries exhausted")
 
 // Stats accounts the cost and behaviour of a mitigated execution — the
@@ -191,68 +192,4 @@ func (x *Executor) NModular(comp Computation, n int) ([]byte, Stats, error) {
 	}
 	st.Disagreements++
 	return nil, st, ErrNoQuorum
-}
-
-// Step is one stage of a checkpointed task: Do advances the state, Check
-// validates the new state (nil means no invariant available). The state is
-// the checkpoint: if Check fails, the step is retried from the prior state
-// on a different core — §7's "system support for efficient checkpointing,
-// to recover from a failed computation by restarting on a different core"
-// combined with "application-specific detection methods, to decide whether
-// to continue past a checkpoint or to retry".
-type Step struct {
-	Name  string
-	Do    func(e *engine.Engine, state []byte) []byte
-	Check func(state []byte) bool
-}
-
-// CheckpointStats extends Stats with per-step recovery accounting.
-type CheckpointStats struct {
-	Stats
-	// Recoveries counts steps that failed their invariant and were
-	// successfully retried.
-	Recoveries int
-}
-
-// RunCheckpointed executes the steps in order with invariant-gated
-// checkpointing. Each step gets up to retriesPerStep retries on distinct
-// cores before the task fails.
-func (x *Executor) RunCheckpointed(steps []Step, initial []byte, retriesPerStep int) ([]byte, CheckpointStats, error) {
-	var st CheckpointStats
-	state := append([]byte(nil), initial...)
-	for _, step := range steps {
-		if step.Do == nil {
-			return nil, st, fmt.Errorf("mitigate: step %q has no Do", step.Name)
-		}
-		ok := false
-		used := map[int]bool{}
-		for attempt := 0; attempt <= retriesPerStep; attempt++ {
-			idx, err := x.pick(1, used)
-			if err != nil {
-				used = map[int]bool{}
-				idx, err = x.pick(1, used)
-				if err != nil {
-					return nil, st, err
-				}
-			}
-			used[idx[0]] = true
-			checkpoint := append([]byte(nil), state...)
-			next := x.runOn(idx[0], func(e *engine.Engine) []byte {
-				return step.Do(e, checkpoint)
-			}, &st.Stats)
-			if step.Check == nil || step.Check(next) {
-				if attempt > 0 {
-					st.Recoveries++
-				}
-				state = next
-				ok = true
-				break
-			}
-			st.Retries++
-		}
-		if !ok {
-			return nil, st, fmt.Errorf("mitigate: step %q: %w", step.Name, ErrRetriesExhausted)
-		}
-	}
-	return state, st, nil
 }

@@ -239,110 +239,6 @@ func TestNModularOneIsBaseline(t *testing.T) {
 	}
 }
 
-func TestCheckpointedHappyPath(t *testing.T) {
-	x := NewExecutor(healthyPool(3, 17), 18)
-	steps := []Step{
-		{
-			Name: "add",
-			Do: func(e *engine.Engine, state []byte) []byte {
-				return append(state, byte(e.Add64(1, 1)))
-			},
-			Check: func(s []byte) bool { return len(s) > 0 && s[len(s)-1] == 2 },
-		},
-		{
-			Name: "double",
-			Do: func(e *engine.Engine, state []byte) []byte {
-				return append(state, byte(e.Mul64(uint64(state[len(state)-1]), 2)))
-			},
-			Check: func(s []byte) bool { return s[len(s)-1] == 4 },
-		},
-	}
-	out, st, err := x.RunCheckpointed(steps, []byte{9}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || out[0] != 9 || out[1] != 2 || out[2] != 4 {
-		t.Fatalf("out = %v", out)
-	}
-	if st.Recoveries != 0 || st.Retries != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestCheckpointedRecoversOnDifferentCore(t *testing.T) {
-	// Pool: one always-bad core among three. Steps that fail their
-	// invariant on the bad core must be retried elsewhere and recover.
-	for seed := uint64(0); seed < 10; seed++ {
-		x := NewExecutor(poolWithBadCore(3, seed), seed+70)
-		steps := []Step{{
-			Name: "sum",
-			Do: func(e *engine.Engine, state []byte) []byte {
-				var s uint64
-				for i := uint64(0); i < 100; i++ {
-					s = e.Add64(s, i)
-				}
-				return []byte(fmt.Sprintf("%d", s))
-			},
-			Check: func(s []byte) bool { return string(s) == "4950" },
-		}}
-		out, _, err := x.RunCheckpointed(steps, nil, 3)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if string(out) != "4950" {
-			t.Fatalf("seed %d: out = %s", seed, out)
-		}
-	}
-}
-
-func TestCheckpointedExhaustsRetries(t *testing.T) {
-	x := NewExecutor(healthyPool(2, 19), 20)
-	steps := []Step{{
-		Name:  "impossible",
-		Do:    func(e *engine.Engine, state []byte) []byte { return state },
-		Check: func([]byte) bool { return false },
-	}}
-	_, st, err := x.RunCheckpointed(steps, nil, 2)
-	if !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("err = %v", err)
-	}
-	if st.Retries != 3 { // initial + 2 retries, all failed
-		t.Fatalf("retries = %d", st.Retries)
-	}
-}
-
-func TestCheckpointedNilDoRejected(t *testing.T) {
-	x := NewExecutor(healthyPool(1, 21), 22)
-	if _, _, err := x.RunCheckpointed([]Step{{Name: "broken"}}, nil, 1); err == nil {
-		t.Fatal("nil Do accepted")
-	}
-}
-
-func TestCheckpointStatePassedBetweenSteps(t *testing.T) {
-	x := NewExecutor(healthyPool(2, 23), 24)
-	steps := make([]Step, 5)
-	for i := range steps {
-		steps[i] = Step{
-			Name: fmt.Sprintf("s%d", i),
-			Do: func(e *engine.Engine, state []byte) []byte {
-				return append(state, byte(len(state)))
-			},
-		}
-	}
-	out, _, err := x.RunCheckpointed(steps, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5 {
-		t.Fatalf("out = %v", out)
-	}
-	for i, b := range out {
-		if int(b) != i {
-			t.Fatalf("state chain broken: %v", out)
-		}
-	}
-}
-
 func BenchmarkOnce(b *testing.B) {
 	x := NewExecutor(healthyPool(4, 1), 2)
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/xrand"
 )
 
@@ -52,10 +51,6 @@ func (cfg *Config) record(rep *Report) {
 	}
 	r.Counter("screen_detections_total").Add(float64(len(rep.Detections)))
 }
-
-// Quick returns the cheap screening config used for online and routine
-// fleet screening: one pass at the current operating point.
-func Quick() Config { return NewConfig() }
 
 // Deep returns the thorough config used for confession testing of
 // suspects: many passes over an operating-point sweep.
@@ -194,21 +189,6 @@ func Screen(core *fault.Core, cfg Config, rng *xrand.RNG) Report {
 		rep.OpsToFirstDetection = rep.OpsUsed
 	}
 	return rep
-}
-
-// ScreenAll screens a batch of cores — the machine-acceptance / burn-in
-// flow — sharding the cores across up to `parallelism` workers
-// (parallelism <= 0 selects GOMAXPROCS). Each core gets its own RNG
-// derived from seed and its batch index, so the reports are bit-identical
-// at any worker count and match a serial run core by core. Cores must be
-// distinct: a screening session mutates the core it tests (operating
-// point, op counters, RNG stream).
-func ScreenAll(cores []*fault.Core, cfg Config, seed uint64, parallelism int) []Report {
-	out := make([]Report, len(cores))
-	parallel.ForEach(parallelism, len(cores), func(i int) {
-		out[i] = Screen(cores[i], cfg, xrand.New(seed+uint64(i)))
-	})
-	return out
 }
 
 // Online models spare-cycle screening (§6): each Tick runs a few randomly

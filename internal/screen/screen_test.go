@@ -26,7 +26,7 @@ func TestQuickScreenCatchesHotDefect(t *testing.T) {
 	d := fault.Defect{ID: "d", Unit: fault.UnitALU, BaseRate: 1e-3,
 		Kind: fault.CorruptBitFlip, BitPos: 11}
 	core := fault.NewCore("m", xrand.New(3), d)
-	rep := Screen(core, Quick(), xrand.New(4))
+	rep := Screen(core, NewConfig(), xrand.New(4))
 	if !rep.Detected {
 		t.Fatal("quick screen missed a high-rate ALU defect")
 	}
@@ -45,7 +45,7 @@ func TestQuickScreenMissesColdDefect(t *testing.T) {
 	d := fault.Defect{ID: "d", Unit: fault.UnitALU, BaseRate: 1e-12,
 		Kind: fault.CorruptBitFlip, BitPos: 11}
 	core := fault.NewCore("m", xrand.New(5), d)
-	rep := Screen(core, Quick(), xrand.New(6))
+	rep := Screen(core, NewConfig(), xrand.New(6))
 	if rep.Detected {
 		t.Fatal("quick screen implausibly caught a 1e-12 defect")
 	}
@@ -63,7 +63,7 @@ func TestDeepScreenBeatsQuickOnMediumDefect(t *testing.T) {
 	quickHits, deepHits := 0, 0
 	const trials = 10
 	for i := uint64(0); i < trials; i++ {
-		if Screen(mk(i), Quick(), xrand.New(100+i)).Detected {
+		if Screen(mk(i), NewConfig(), xrand.New(100+i)).Detected {
 			quickHits++
 		}
 		if Screen(mk(i), Deep(), xrand.New(100+i)).Detected {
@@ -102,7 +102,7 @@ func TestScreenRespectsOpsBudget(t *testing.T) {
 
 func TestScreenCoverageAccounting(t *testing.T) {
 	core := fault.NewCore("h", xrand.New(11))
-	rep := Screen(core, Quick(), xrand.New(12))
+	rep := Screen(core, NewConfig(), xrand.New(12))
 	for _, u := range []fault.Unit{fault.UnitALU, fault.UnitMul, fault.UnitVec,
 		fault.UnitCrypto, fault.UnitAtomic, fault.UnitFPU, fault.UnitLSU} {
 		if !rep.UnitsCovered[u] {
@@ -134,8 +134,8 @@ func TestScreenDeterministic(t *testing.T) {
 			Kind: fault.CorruptWrongLane}
 		return fault.NewCore("m", xrand.New(15), d)
 	}
-	r1 := Screen(mk(), Quick(), xrand.New(16))
-	r2 := Screen(mk(), Quick(), xrand.New(16))
+	r1 := Screen(mk(), NewConfig(), xrand.New(16))
+	r2 := Screen(mk(), NewConfig(), xrand.New(16))
 	if r1.Detected != r2.Detected || r1.OpsUsed != r2.OpsUsed ||
 		len(r1.Detections) != len(r2.Detections) {
 		t.Fatalf("screen not deterministic: %+v vs %+v", r1, r2)
@@ -207,11 +207,11 @@ func TestLatentDefectInvisibleUntilOnset(t *testing.T) {
 		Kind: fault.CorruptBitFlip, BitPos: 8, Onset: 2 * simtime.Year}
 	core := fault.NewCore("m", xrand.New(17), d)
 	core.Age = simtime.Year
-	if Screen(core, Quick(), xrand.New(18)).Detected {
+	if Screen(core, NewConfig(), xrand.New(18)).Detected {
 		t.Fatal("latent defect detected before onset")
 	}
 	core.Age = 3 * simtime.Year
-	if !Screen(core, Quick(), xrand.New(19)).Detected {
+	if !Screen(core, NewConfig(), xrand.New(19)).Detected {
 		t.Fatal("defect not detected after onset")
 	}
 }
@@ -259,6 +259,6 @@ func TestOnlineDefaultBudget(t *testing.T) {
 func BenchmarkQuickScreenHealthy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core := fault.NewCore("h", xrand.New(1))
-		Screen(core, Quick(), xrand.New(2))
+		Screen(core, NewConfig(), xrand.New(2))
 	}
 }

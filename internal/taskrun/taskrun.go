@@ -44,12 +44,9 @@ import (
 )
 
 // SignalSink is where escalated divergence signals go — the same
-// pluggable sink type the kvdb serving layer uses, so kvdb.ServerSink /
-// kvdb.ClientSink plug in directly.
+// pluggable sink type the kvdb serving layer uses, so kvdb.ClientSink
+// plugs in directly.
 type SignalSink = kvdb.SignalSink
-
-// ServerSink adapts an in-process report server into a SignalSink.
-var ServerSink = kvdb.ServerSink
 
 // Work is a granule body: a computation whose nondeterministic inputs all
 // cross the replay boundary, making it re-executable from a tape.

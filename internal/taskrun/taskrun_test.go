@@ -116,7 +116,10 @@ func TestTaskRunSurvivesDefectiveCoreEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	var clock simtime.Time
 	sup, err := NewSupervisor(cluster, provider, Config{
-		Sink:    ServerSink(server),
+		Sink: func(sig detect.Signal) error {
+			server.Ingest(sig)
+			return nil
+		},
 		Metrics: reg,
 		Now:     func() simtime.Time { return clock },
 	})
