@@ -112,6 +112,9 @@ type Tracker struct {
 
 	perCore    map[string]map[int]*coreStats
 	perMachine map[string]int // machine-level (core == -1) signal counts
+	// refused counts signals Add ignored because their core lies outside
+	// [-1, CoresPerMachine): a core the machine does not have.
+	refused int
 	// reporters records every machine that has ever submitted a signal —
 	// including machines whose reports never concentrated into a
 	// nomination. Forget deliberately leaves it alone: it is a lifetime
@@ -139,8 +142,14 @@ func NewTracker(coresPerMachine int) *Tracker {
 	}
 }
 
-// Add ingests one signal.
+// Add ingests one signal. A signal naming a core outside
+// [-1, CoresPerMachine) is counted as refused and otherwise ignored:
+// clamping it would pin the reports on a core that never sent them.
 func (t *Tracker) Add(s Signal) {
+	if s.Core < -1 || s.Core >= t.CoresPerMachine {
+		t.refused++
+		return
+	}
 	t.reporters[s.Machine] = true
 	if s.Core < 0 {
 		t.perMachine[s.Machine]++
@@ -225,10 +234,8 @@ func (t *Tracker) Suspects() []Suspect {
 		counts := make([]int, t.CoresPerMachine)
 		gvals := make([]float64, t.CoresPerMachine)
 		for idx, cs := range cores {
-			if idx >= 0 && idx < t.CoresPerMachine {
-				counts[idx] = cs.count
-				gvals[idx] = float64(cs.count)
-			}
+			counts[idx] = cs.count
+			gvals[idx] = float64(cs.count)
 		}
 		gini := stats.Gini(gvals)
 		for idx, cs := range cores {

@@ -220,14 +220,29 @@ func TestTrackerTimeWindow(t *testing.T) {
 	}
 }
 
+// TestTrackerOutOfRangeCoreIndex feeds cores the machine does not have:
+// each is counted as refused, none reaches the census, nothing is
+// nominated — five reports on core 9 of a 4-core machine used to nominate
+// it with p = 0 — and the concentration test does not panic.
 func TestTrackerOutOfRangeCoreIndex(t *testing.T) {
-	// A signal naming a core index beyond the machine shape must not
-	// panic the concentration test.
 	tr := NewTracker(4)
 	for i := 0; i < 5; i++ {
-		tr.Add(Signal{Machine: "m", Core: 9, Kind: SigCrash})
+		for _, core := range []int{4, 9, -2} {
+			tr.Add(Signal{Machine: "m", Core: core, Kind: SigCrash})
+		}
 	}
-	_ = tr.Suspects() // must not panic
+	if sus := tr.Suspects(); len(sus) != 0 {
+		t.Fatalf("suspects = %+v, want none", sus)
+	}
+	if tr.refused != 15 || tr.Reports("m") != 0 || tr.ReportingMachines() != 0 {
+		t.Fatalf("refused %d, reports %d, machines %d; want 15, 0, 0",
+			tr.refused, tr.Reports("m"), tr.ReportingMachines())
+	}
+	tr.Add(Signal{Machine: "m", Core: 3, Kind: SigCrash})
+	tr.Add(Signal{Machine: "m", Core: -1, Kind: SigCrash})
+	if tr.Reports("m") != 1 || tr.ReportingMachines() != 1 {
+		t.Fatalf("in-range cores not ingested: reports %d, machines %d", tr.Reports("m"), tr.ReportingMachines())
+	}
 }
 
 func BenchmarkTrackerSuspects(b *testing.B) {

@@ -75,6 +75,21 @@ func countCRC(c *fault.Core, n int) {
 	c.OpCount[fault.OpShift] += uint64(n)
 }
 
+// CountFNV reports whether an FNV-1a hash over n bytes runs natively on c,
+// that is, whether neither op class it issues is armed. If so it adds the
+// ops the byte loop would have issued (n OpLogic, n OpMul), so the caller
+// may use FNV64aGolden, or a fingerprint of the same bytes it already has,
+// in place of FNV64a; if not it adds nothing and the caller must call
+// FNV64a.
+func CountFNV(c *fault.Core, n int) bool {
+	if c.Armed(fault.OpLogic) || c.Armed(fault.OpMul) {
+		return false
+	}
+	c.OpCount[fault.OpLogic] += uint64(n)
+	c.OpCount[fault.OpMul] += uint64(n)
+	return true
+}
+
 // CRC-64 with the ECMA-182 reflected polynomial.
 const crc64Poly = 0xC96C5795D7870F42
 
@@ -128,9 +143,7 @@ const (
 // replica's secondary index is keyed by, so a defective logic or multiply
 // unit mis-indexes rows (§2).
 func FNV64a(e *engine.Engine, data []byte) uint64 {
-	if c := e.Core(); !c.Armed(fault.OpLogic) && !c.Armed(fault.OpMul) {
-		c.OpCount[fault.OpLogic] += uint64(len(data))
-		c.OpCount[fault.OpMul] += uint64(len(data))
+	if CountFNV(e.Core(), len(data)) {
 		return FNV64aGolden(data)
 	}
 	h := uint64(fnvOffset)

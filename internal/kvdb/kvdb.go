@@ -51,10 +51,26 @@ const StorageShards = 16
 // shared key-hash sharder, which inlines to a mask here.
 func shardIndex(key string) int { return keyhash.Shard(key, StorageShards) }
 
-// record is one replicated row.
+// record is one replicated row. It stays 32 bytes: the read path walks
+// records, and a 48-byte record slowed a read-mostly mix measurably.
 type record struct {
 	value []byte
 	crc   uint32
+	// slot is the row's entry in its shard's fps.
+	slot uint32
+}
+
+// write is one row write as every replica receives it: the value, plus
+// what the client computes from it once, natively — the record checksum
+// and the value's index fingerprint.
+type write struct {
+	value []byte
+	crc   uint32
+	fp    uint64
+}
+
+func newWrite(value []byte) write {
+	return write{value: value, crc: ecc.CRC32CGolden(value), fp: ecc.FNV64aGolden(value)}
 }
 
 // replicaShard is one key-hash partition of a replica's storage.
@@ -67,6 +83,12 @@ type replicaShard struct {
 	// Entries live in the shard of their KEY, so a shard lock owns both
 	// the rows and the index entries it can reach from them.
 	index map[uint64]map[string]bool
+	// fps[rec.slot] caches FNV64aGolden(rec.value), or holds 0 for "not
+	// cached" (a row whose bytes hash to 0 is simply rehashed). The cache
+	// depends only on the bytes, never on the core, so it stays exact
+	// across an engine rebind; apply, the only writer of record bytes,
+	// keeps it in step. Only writes read it.
+	fps []uint64
 }
 
 // Replica is one copy of the database bound to a serving core.
@@ -86,13 +108,20 @@ type Replica struct {
 	shards [StorageShards]replicaShard
 }
 
+// shardFPs is how many rows each shard's fingerprint cache holds before
+// it first grows. The shards' initial caches share one allocation, so a
+// small store does not pay a growing slice per shard.
+const shardFPs = 4
+
 // NewReplica returns an empty replica served by e.
 func NewReplica(id string, e *engine.Engine) *Replica {
 	r := &Replica{ID: id, Engine: e, CoreIndex: -1}
+	fps := make([]uint64, StorageShards*shardFPs)
 	for i := range r.shards {
 		r.shards[i] = replicaShard{
 			rows:  map[string]*record{},
 			index: map[uint64]map[string]bool{},
+			fps:   fps[i*shardFPs : i*shardFPs : (i+1)*shardFPs],
 		}
 	}
 	return r
@@ -122,19 +151,32 @@ func (r *Replica) has(key string) bool {
 // in the same order as the historical unsharded store — old fingerprint,
 // copy, new fingerprint — so defect activation sequences are unchanged.
 //
+// A fingerprint on a core whose FNV runs natively (ecc.CountFNV) is a pure
+// function of the bytes, so apply counts its ops and reuses a hash it
+// already has: the row's cached one for the old bytes, and the write's for
+// the new bytes when the copy left them equal to w.value. Only a copy that
+// changed them is hashed here; an armed FNV always runs through the engine
+// and leaves the row uncached.
+//
 // An existing row of the same length is overwritten in place, so the
 // caller must hold key's shard lock exclusively (TolerantDB does for every
 // write): readers copy the record's bytes out under the read lock. A new
 // key or a new length gets a fresh record, and an index set emptied by the
 // key's departure is reused for its new fingerprint.
-func (r *Replica) apply(key string, value []byte, clientCRC uint32) {
+func (r *Replica) apply(key string, w write) {
 	sh := &r.shards[shardIndex(key)]
 	r.engMu.Lock()
 	defer r.engMu.Unlock()
+	core := r.Engine.Core()
 	rec := sh.rows[key]
 	var spare map[string]bool
 	if rec != nil {
-		oldFP := ecc.FNV64a(r.Engine, rec.value)
+		var oldFP uint64
+		if !ecc.CountFNV(core, len(rec.value)) {
+			oldFP = ecc.FNV64a(r.Engine, rec.value)
+		} else if oldFP = sh.fps[rec.slot]; oldFP == 0 {
+			oldFP = ecc.FNV64aGolden(rec.value)
+		}
 		if set := sh.index[oldFP]; set != nil {
 			delete(set, key)
 			if len(set) == 0 {
@@ -143,13 +185,28 @@ func (r *Replica) apply(key string, value []byte, clientCRC uint32) {
 			}
 		}
 	}
-	if rec == nil || len(rec.value) != len(value) {
-		rec = &record{value: make([]byte, len(value))}
+	switch {
+	case rec == nil:
+		rec = &record{value: make([]byte, len(w.value)), slot: uint32(len(sh.fps))}
+		sh.fps = append(sh.fps, 0)
+		sh.rows[key] = rec
+	case len(rec.value) != len(w.value):
+		rec = &record{value: make([]byte, len(w.value)), slot: rec.slot}
 		sh.rows[key] = rec
 	}
-	r.Engine.Copy(rec.value, value)
-	rec.crc = clientCRC
-	fp := ecc.FNV64a(r.Engine, rec.value)
+	r.Engine.Copy(rec.value, w.value)
+	rec.crc = w.crc
+	var fp, cached uint64
+	if ecc.CountFNV(core, len(rec.value)) {
+		fp = w.fp
+		if !bytes.Equal(rec.value, w.value) {
+			fp = ecc.FNV64aGolden(rec.value)
+		}
+		cached = fp
+	} else {
+		fp = ecc.FNV64a(r.Engine, rec.value)
+	}
+	sh.fps[rec.slot] = cached
 	set := sh.index[fp]
 	if set == nil {
 		set = spare
@@ -192,11 +249,16 @@ func (r *Replica) get(key string) ([]byte, error) {
 }
 
 // lookupByValue answers a secondary-index query: which keys carry value?
-// Concurrent callers must hold every shard lock (the index is scanned
-// across all partitions).
-func (r *Replica) lookupByValue(value []byte) []string {
+// valueFP is FNV64aGolden(value), hashed once per query by the caller; a
+// replica whose FNV runs natively counts the ops and uses it. Concurrent
+// callers must hold every shard lock (the index is scanned across all
+// partitions).
+func (r *Replica) lookupByValue(value []byte, valueFP uint64) []string {
 	r.engMu.Lock()
-	fp := ecc.FNV64a(r.Engine, value)
+	fp := valueFP
+	if !ecc.CountFNV(r.Engine.Core(), len(value)) {
+		fp = ecc.FNV64a(r.Engine, value)
+	}
 	r.engMu.Unlock()
 	out := []string{}
 	for i := range r.shards {
@@ -257,9 +319,9 @@ func (db *DB) Put(key string, value []byte) {
 // putRows is Put without the stats accounting, shared with the tolerant
 // layer (which owns its own stats locking).
 func (db *DB) putRows(key string, value []byte) {
-	crc := ecc.CRC32CGolden(value)
+	w := newWrite(value)
 	for _, r := range db.replicas {
-		r.apply(key, value, crc)
+		r.apply(key, w)
 	}
 }
 
@@ -424,14 +486,14 @@ func (db *DB) readRepair(key string) ([]byte, rowScan, int, error) {
 	// Heal every replica that failed its checksum or lost the vote. The
 	// repair write recomputes the row from the winner's bytes with a
 	// fresh client-side checksum.
-	crc := ecc.CRC32CGolden(winner)
+	w := newWrite(winner)
 	repaired := 0
 	for _, r := range db.replicas {
 		v, err := r.get(key)
 		if err == nil && bytes.Equal(v, winner) {
 			continue
 		}
-		r.apply(key, winner, crc)
+		r.apply(key, w)
 		repaired++
 	}
 	return winner, sc, repaired, nil
@@ -442,20 +504,21 @@ func (db *DB) readRepair(key string) ([]byte, rowScan, int, error) {
 // that replica serves the query.
 func (db *DB) QueryByValue(value []byte) []string {
 	db.Stats.IndexQueries++
-	return db.pick().lookupByValue(value)
+	return db.pick().lookupByValue(value, ecc.FNV64aGolden(value))
 }
 
 // QueryByValueCompared runs the index query on two replicas and reports
 // divergence — how the incident was eventually root-caused.
 func (db *DB) QueryByValueCompared(value []byte) ([]string, error) {
 	db.Stats.IndexQueries++
+	fp := ecc.FNV64aGolden(value)
 	if len(db.replicas) < 2 {
-		return db.pick().lookupByValue(value), nil
+		return db.pick().lookupByValue(value, fp), nil
 	}
 	a := db.pick()
 	b := db.pick()
-	ka := a.lookupByValue(value)
-	kb := b.lookupByValue(value)
+	ka := a.lookupByValue(value, fp)
+	kb := b.lookupByValue(value, fp)
 	if !equalStrings(ka, kb) {
 		db.Stats.IndexDivergence++
 		return nil, fmt.Errorf("%w: index query (%s: %v vs %s: %v)",

@@ -15,6 +15,15 @@ func healthyReplica(id string, seed uint64) *Replica {
 	return NewReplica(id, engine.New(fault.NewCore(id, xrand.New(seed))))
 }
 
+// flipStored XORs mask into byte i of key's stored value on replica r —
+// silent storage corruption beneath the replica's checksum — and drops
+// the row's cached fingerprint, which described the old bytes.
+func flipStored(r *Replica, key string, i int, mask byte) {
+	rec := r.row(key)
+	rec.value[i] ^= mask
+	r.shards[shardIndex(key)].fps[rec.slot] = 0
+}
+
 // mulDefectReplica mis-computes index fingerprints (MUL unit) at the given
 // rate — the §2 database-index incident.
 func mulDefectReplica(id string, seed uint64, rate float64, deterministic bool) *Replica {
@@ -192,8 +201,8 @@ func TestGetComparedDetectsDivergence(t *testing.T) {
 	r2 := healthyReplica("r2", 17)
 	db, _ := New(r1, r2)
 	// Bypass DB.Put to simulate divergent state with self-consistent CRCs.
-	r1.apply("k", []byte("correct"), 0x5ef4ee93)
-	r2.apply("k", []byte("corrupt"), 0x697f9a17)
+	r1.apply("k", newWrite([]byte("correct")))
+	r2.apply("k", newWrite([]byte("corrupt")))
 	// Fix CRCs to be self-consistent per replica (golden values).
 	r1.row("k").crc = crcOf(t, []byte("correct"))
 	r2.row("k").crc = crcOf(t, []byte("corrupt"))
@@ -294,7 +303,7 @@ func TestReadRepairHealsDivergentReplica(t *testing.T) {
 	db.Put("k", []byte("good value"))
 	// Sabotage one replica with a self-consistent wrong row.
 	wrong := []byte("evil value")
-	r2.apply("k", wrong, crc32cGolden(wrong))
+	r2.apply("k", newWrite(wrong))
 
 	v, err := db.ReadRepair("k")
 	if err != nil {
@@ -318,8 +327,8 @@ func TestReadRepairNoMajority(t *testing.T) {
 	r2 := healthyReplica("r2", 34)
 	db, _ := New(r1, r2)
 	a, b := []byte("one"), []byte("two")
-	r1.apply("k", a, crc32cGolden(a))
-	r2.apply("k", b, crc32cGolden(b))
+	r1.apply("k", newWrite(a))
+	r2.apply("k", newWrite(b))
 	if _, err := db.ReadRepair("k"); !errors.Is(err, ErrDivergent) {
 		t.Fatalf("err = %v", err)
 	}
@@ -339,7 +348,7 @@ func TestReadRepairHealsCorruptChecksumReplica(t *testing.T) {
 	db, _ := New(r1, r2, r3)
 	db.Put("k", []byte("payload"))
 	// Corrupt one replica's stored bytes so its checksum fails.
-	r3.row("k").value[0] ^= 0xFF
+	flipStored(r3, "k", 0, 0xFF)
 	if _, err := r3.get("k"); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("sabotage did not corrupt")
 	}
@@ -355,7 +364,7 @@ func TestCorruptReadErrorText(t *testing.T) {
 	r1 := healthyReplica("r1", 21)
 	db, _ := New(r1)
 	db.Put("k", []byte("payload"))
-	r1.row("k").value[0] ^= 0xFF
+	flipStored(r1, "k", 0, 0xFF)
 	_, err := db.Get("k")
 	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrCorrupt only", err)

@@ -50,6 +50,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/detect"
+	"repro/internal/ecc"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/simtime"
@@ -550,8 +551,9 @@ func (t *TolerantDB) QueryByValue(value []byte) []string {
 		replicas []*Replica
 	}
 	var answers []answer
+	fp := ecc.FNV64aGolden(value)
 	for _, r := range t.db.replicas {
-		keys := r.lookupByValue(value)
+		keys := r.lookupByValue(value, fp)
 		matched := false
 		for i := range answers {
 			if equalStrings(answers[i].keys, keys) {

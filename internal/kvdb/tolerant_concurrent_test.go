@@ -55,7 +55,7 @@ func TestBackoffDoesNotBlockConcurrentReaders(t *testing.T) {
 	// Corrupt the hot row on every replica so the read walks the whole
 	// retry ladder (two backoffs: 120ms + 240ms) and ends in ErrCorrupt.
 	for _, r := range db.replicas {
-		r.row(hot).value[0] ^= 0xFF
+		flipStored(r, hot, 0, 0xFF)
 	}
 
 	hotDone := make(chan error, 1)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/detect"
-	"repro/internal/ecc"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -161,9 +160,9 @@ func TestTolerantDegradedServeMarksRowSuspect(t *testing.T) {
 	db, _ := New(bad, r1, r2)
 	valA := bytes.Repeat([]byte("A"), 32)
 	valB := bytes.Repeat([]byte("B"), 32)
-	bad.apply("k", bit3Payload(), ecc.CRC32CGolden(bit3Payload()))
-	r1.apply("k", valA, ecc.CRC32CGolden(valA))
-	r2.apply("k", valB, ecc.CRC32CGolden(valB))
+	bad.apply("k", newWrite(bit3Payload()))
+	r1.apply("k", newWrite(valA))
+	r2.apply("k", newWrite(valB))
 	var cs collectSink
 	tdb := NewTolerant(db, TolerantConfig{MaxRetries: -1, Sink: cs.sink})
 	v, err := tdb.Get("k")
@@ -199,9 +198,9 @@ func TestTolerantDualReadCatchesSilentDivergence(t *testing.T) {
 	db, _ := New(r0, r1, r2)
 	valA := bytes.Repeat([]byte("A"), 32)
 	valB := bytes.Repeat([]byte("B"), 32)
-	r0.apply("k", valB, ecc.CRC32CGolden(valB))
-	r1.apply("k", valA, ecc.CRC32CGolden(valA))
-	r2.apply("k", valA, ecc.CRC32CGolden(valA))
+	r0.apply("k", newWrite(valB))
+	r1.apply("k", newWrite(valA))
+	r2.apply("k", newWrite(valA))
 	var cs collectSink
 	tdb := NewTolerant(db, TolerantConfig{DualRead: true, Sink: cs.sink})
 	v, err := tdb.Get("k")
@@ -284,9 +283,9 @@ func TestTolerantQueryByValueOutvotesMinority(t *testing.T) {
 	valA := bytes.Repeat([]byte("A"), 16)
 	valB := bytes.Repeat([]byte("B"), 16)
 	// r0's index diverges: it believes the row holds valA.
-	r0.apply("k", valA, ecc.CRC32CGolden(valA))
-	r1.apply("k", valB, ecc.CRC32CGolden(valB))
-	r2.apply("k", valB, ecc.CRC32CGolden(valB))
+	r0.apply("k", newWrite(valA))
+	r1.apply("k", newWrite(valB))
+	r2.apply("k", newWrite(valB))
 	var cs collectSink
 	tdb := NewTolerant(db, TolerantConfig{Sink: cs.sink})
 	keys := tdb.QueryByValue(valB)

@@ -34,7 +34,7 @@ const maxReportBytes = 64 << 10
 // Report is the wire form of one suspect-core report.
 type Report struct {
 	Machine string  `json:"machine"`
-	Core    int     `json:"core"` // -1 when unattributed
+	Core    int     `json:"core"` // in [0, cores per machine), or -1 when unattributed
 	Kind    string  `json:"kind"`
 	Detail  string  `json:"detail,omitempty"`
 	TimeSec float64 `json:"time_sec"`
@@ -123,6 +123,8 @@ type Server struct {
 	tracker *detect.ShardedTracker
 	total   atomic.Int64
 	reg     *obs.Registry
+	// cores is the machine shape: a report's core must lie in [-1, cores).
+	cores int
 	// OnSignal, if non-nil, observes every accepted signal (used by the
 	// fleet simulator to couple the service to its detection loop). Set it
 	// before the server accepts traffic; invocations are serialized.
@@ -152,6 +154,7 @@ type Server struct {
 func NewServer(coresPerMachine int) *Server {
 	return &Server{
 		tracker: detect.NewShardedTracker(coresPerMachine, 0),
+		cores:   coresPerMachine,
 		reg:     obs.NewRegistry(),
 	}
 }
@@ -305,9 +308,9 @@ func (s *Server) signalFromReport(rep Report) (sig detect.Signal, reason, msg st
 	if rep.Machine == "" {
 		return sig, "missing-machine", "machine required"
 	}
-	if rep.Core < -1 {
+	if rep.Core < -1 || rep.Core >= s.cores {
 		return sig, "bad-core",
-			fmt.Sprintf("core must be >= -1 (-1 = unattributed), got %d", rep.Core)
+			fmt.Sprintf("core must be in [-1, %d) (-1 = unattributed), got %d", s.cores, rep.Core)
 	}
 	kind, known := kindFromString(rep.Kind)
 	if !known {

@@ -507,6 +507,40 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRejectsCoreOutsideMachine checks that a core the machine does not
+// have is refused as bad-core on both handlers, with a message naming the
+// range: two reports used to nominate core 9999 of a 64-core machine.
+func TestRejectsCoreOutsideMachine(t *testing.T) {
+	srv := NewServer(64)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 2; i++ {
+		status, e := postReport(t, ts.URL, `{"machine":"m1","core":9999,"kind":"crash"}`)
+		if status != http.StatusBadRequest {
+			t.Fatalf("POST %d with core 9999 -> %d, want 400", i, status)
+		}
+		if want := "core must be in [-1, 64) (-1 = unattributed), got 9999"; e.Error != want {
+			t.Fatalf("error = %q, want %q", e.Error, want)
+		}
+	}
+	body := `{"reports":[{"machine":"m2","core":3},{"machine":"m2","core":64}]}`
+	resp, err := http.Post(ts.URL+"/v1/reports", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch holding core 64 -> %d, want 400", resp.StatusCode)
+	}
+	if n := srv.TotalReports(); n != 0 {
+		t.Fatalf("%d reports ingested, want 0", n)
+	}
+	if sus := srv.Suspects(); len(sus) != 0 {
+		t.Fatalf("suspects = %+v, want none", sus)
+	}
+}
+
 // flakyTransport fails the first n round trips with a connection-style
 // error, then delegates to the default transport.
 type flakyTransport struct {

@@ -490,6 +490,12 @@ func (in *InjectDef) validate(d *decoder, m *node, _ string) {
 	if cores := d.s.Fleet.CoresPerMachine; in.Core < 0 || (cores > 0 && in.Core >= cores) {
 		d.errf(m.keyLine("core"), "inject_defect.core %d out of range [0, %d)", in.Core, cores)
 	}
+	if in.BitPos != nil && (*in.BitPos < 0 || *in.BitPos >= 64) {
+		d.errf(m.keyLine("bit_pos"), "inject_defect.bit_pos %d out of range [0, 64)", *in.BitPos)
+	}
+	if in.StuckVal != nil && *in.StuckVal != 0 && *in.StuckVal != 1 {
+		d.errf(m.keyLine("stuck_val"), "inject_defect.stuck_val %d must be 0 or 1", *in.StuckVal)
+	}
 	if in.Class != "" {
 		if in.Unit != "" || in.Kind != "" || in.BaseRate != 0 || in.Deterministic {
 			d.errf(m.keyLine("class"), "inject_defect: class and explicit defect fields are mutually exclusive")
