@@ -37,7 +37,6 @@ var keptUnreferenced = map[string]string{
 	"internal/forensics.Ring.Total":             "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
 	"internal/isa.Disassemble":                  "assembler round-trip half; FuzzAssemble and the isa tests use it",
 	"internal/isa.Mnemonics":                    "assembler round-trip half; FuzzAssemble and the isa tests use it",
-	"internal/kvdb.ClientSink":                  "per-signal HTTP sink; kvdb.TestTolerantEndToEndLoop drives the store-to-ceereportd loop through it",
 	"internal/kvdb.DB.GetCompared":              "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
 	"internal/kvdb.DB.Put":                      "raw replicated write the E10 incident tests and the kvdb replica tests seed rows with",
 	"internal/kvdb.DB.QueryByValue":             "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
@@ -60,8 +59,7 @@ var keptUnreferenced = map[string]string{
 	"internal/replay.Replayer.Remaining":        "tape introspection the replay tests check positions and labels with",
 	"internal/replay.Tape.Label":                "tape introspection the replay tests check positions and labels with",
 	"internal/replay.Tape.Len":                  "tape introspection the replay tests check positions and labels with",
-	"internal/report.Client.Metrics":            "client-side counters the report tests assert retries and sheds with",
-	"internal/report.Client.Stats":              "client-side counters the report tests assert retries and sheds with",
+	"internal/report.Client.Report":             "§6's one-report call; the report tests drive the single-report route and the client retry policy through it",
 	"internal/report.Server.Lifecycle":          "attached ledger the report pool tests read back",
 	"internal/sched.Cluster.Machine":            "cluster introspection the sched, quarantine and lifecycle tests assert with",
 	"internal/sched.Cluster.PlacedTasks":        "cluster introspection the sched, quarantine and lifecycle tests assert with",

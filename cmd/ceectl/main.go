@@ -30,7 +30,9 @@
 package main
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -69,93 +71,110 @@ drain/cordon answers may be deferred (pool at its capacity floor).
 }
 
 func main() {
-	global := flag.NewFlagSet("ceectl", flag.ExitOnError)
-	addr := global.String("addr", defaultAddr(), "ceereportd base URL")
-	global.Usage = func() { usage(os.Stderr) }
-	global.Parse(os.Args[1:])
-	args := global.Args()
-	if len(args) == 0 {
-		usage(os.Stderr)
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli carries one invocation's client and output streams.
+type cli struct {
+	c              *report.Client
+	stdout, stderr io.Writer
+}
+
+// run executes one ceectl invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	global := flag.NewFlagSet("ceectl", flag.ContinueOnError)
+	addr := global.String("addr", cmp.Or(os.Getenv("CEEREPORTD_ADDR"), "http://localhost:8080"), "ceereportd base URL")
+	global.Usage = func() { usage(stderr) }
+	if status, ok := parse(global, args, stderr); !ok {
+		return status
 	}
-	client := &report.Client{BaseURL: *addr}
+	args = global.Args()
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
+	}
+	x := &cli{c: &report.Client{BaseURL: *addr}, stdout: stdout, stderr: stderr}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	cmd := args[0]
 	switch cmd {
 	case "list":
-		os.Exit(cmdList(ctx, client, args[1:]))
+		return x.list(ctx, args[1:])
 	case "show":
-		os.Exit(cmdShow(ctx, client, args[1:]))
+		return x.show(ctx, args[1:])
 	case "cordon", "drain", "repair", "release", "remove", "assign":
-		os.Exit(cmdVerb(ctx, client, cmd, args[1:]))
+		return x.verb(ctx, cmd, args[1:])
 	case "pools":
-		os.Exit(cmdPools(ctx, client))
+		return x.pools(ctx)
 	case "stats":
-		os.Exit(cmdStats(ctx, client))
+		return x.stats(ctx)
 	case "readyz":
-		os.Exit(cmdReadyz(ctx, client))
+		return x.readyz(ctx)
 	case "flood":
-		os.Exit(cmdFlood(ctx, client, args[1:]))
+		return x.flood(ctx, args[1:])
 	case "help", "-h", "--help":
-		usage(os.Stdout)
-		os.Exit(0)
+		usage(stdout)
+		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "ceectl: unknown command %q\n\n", cmd)
-		usage(os.Stderr)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ceectl: unknown command %q\n\n", cmd)
+		usage(stderr)
+		return 2
 	}
 }
 
-func defaultAddr() string {
-	if a := os.Getenv("CEEREPORTD_ADDR"); a != "" {
-		return a
+// parse parses args into fs, reporting to stderr. When ok is false the
+// command exits with status: 0 after -h (as flag.ExitOnError would),
+// 2 on a bad flag.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) (status int, ok bool) {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0, false
+	} else if err != nil {
+		return 2, false
 	}
-	return "http://localhost:8080"
+	return 0, true
 }
 
-func fail(err error) int {
-	fmt.Fprintf(os.Stderr, "ceectl: %v\n", err)
+func (x *cli) fail(err error) int {
+	fmt.Fprintf(x.stderr, "ceectl: %v\n", err)
 	return 1
 }
 
-func printRecord(m report.MachineJSON) {
-	renderRecord(os.Stdout, m)
-}
-
-func cmdList(ctx context.Context, c *report.Client, args []string) int {
-	fs := flag.NewFlagSet("list", flag.ExitOnError)
+func (x *cli) list(ctx context.Context, args []string) int {
+	fs := flag.NewFlagSet("list", flag.ContinueOnError)
 	state := fs.String("state", "", "filter by lifecycle state")
 	pool := fs.String("pool", "", "filter by pool membership")
-	fs.Parse(args)
-	machines, err := c.Machines(ctx, *state, *pool)
-	if err != nil {
-		return fail(err)
+	if status, ok := parse(fs, args, x.stderr); !ok {
+		return status
 	}
-	renderMachineTable(os.Stdout, machines)
-	fmt.Fprintf(os.Stderr, "%d machine(s)\n", len(machines))
+	machines, err := x.c.Machines(ctx, *state, *pool)
+	if err != nil {
+		return x.fail(err)
+	}
+	renderMachineTable(x.stdout, machines)
+	fmt.Fprintf(x.stderr, "%d machine(s)\n", len(machines))
 	return 0
 }
 
-func cmdPools(ctx context.Context, c *report.Client) int {
-	p, err := c.Pools(ctx)
+func (x *cli) pools(ctx context.Context) int {
+	p, err := x.c.Pools(ctx)
 	if err != nil {
-		return fail(err)
+		return x.fail(err)
 	}
-	renderPools(os.Stdout, p)
+	renderPools(x.stdout, p)
 	return 0
 }
 
-func cmdReadyz(ctx context.Context, c *report.Client) int {
-	out, ready, err := c.Readyz(ctx)
+func (x *cli) readyz(ctx context.Context) int {
+	out, ready, err := x.c.Readyz(ctx)
 	if err != nil {
-		return fail(err)
+		return x.fail(err)
 	}
-	fmt.Printf("status=%s wal_enabled=%t wal_healthy=%t queue_depth=%d/%d\n",
+	fmt.Fprintf(x.stdout, "status=%s wal_enabled=%t wal_healthy=%t queue_depth=%d/%d\n",
 		out.Status, out.WAL.Enabled, out.WAL.Healthy, out.Queue.Depth, out.Queue.Capacity)
 	if out.WAL.Error != "" {
-		fmt.Printf("wal_error=%q\n", out.WAL.Error)
+		fmt.Fprintf(x.stdout, "wal_error=%q\n", out.WAL.Error)
 	}
 	if !ready {
 		return 1
@@ -163,21 +182,21 @@ func cmdReadyz(ctx context.Context, c *report.Client) int {
 	return 0
 }
 
-func cmdShow(ctx context.Context, c *report.Client, args []string) int {
+func (x *cli) show(ctx context.Context, args []string) int {
 	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ceectl show <machine>")
+		fmt.Fprintln(x.stderr, "usage: ceectl show <machine>")
 		return 2
 	}
-	m, err := c.Machine(ctx, args[0])
+	m, err := x.c.Machine(ctx, args[0])
 	if err != nil {
-		return fail(err)
+		return x.fail(err)
 	}
-	printRecord(m)
+	renderRecord(x.stdout, m)
 	return 0
 }
 
-func cmdVerb(ctx context.Context, c *report.Client, verb string, args []string) int {
-	fs := flag.NewFlagSet(verb, flag.ExitOnError)
+func (x *cli) verb(ctx context.Context, verb string, args []string) int {
+	fs := flag.NewFlagSet(verb, flag.ContinueOnError)
 	reason := fs.String("reason", "", "reason recorded in the lifecycle ledger")
 	actor := fs.String("actor", "ceectl", "actor recorded in the lifecycle ledger")
 	day := fs.Int("day", 0, "ledger day stamp")
@@ -189,46 +208,50 @@ func cmdVerb(ctx context.Context, c *report.Client, verb string, args []string) 
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		machine, args = args[0], args[1:]
 	}
-	fs.Parse(args)
+	if status, ok := parse(fs, args, x.stderr); !ok {
+		return status
+	}
 	if machine == "" && fs.NArg() == 1 {
 		machine = fs.Arg(0)
 	} else if fs.NArg() != 0 || machine == "" {
-		fmt.Fprintf(os.Stderr, "usage: ceectl %s <machine> [-reason R] [-actor A] [-day D]\n", verb)
+		fmt.Fprintf(x.stderr, "usage: ceectl %s <machine> [-reason R] [-actor A] [-day D]\n", verb)
 		return 2
 	}
 	if verb == "assign" && *pool == "" {
-		fmt.Fprintln(os.Stderr, "usage: ceectl assign <machine> -pool <name>")
+		fmt.Fprintln(x.stderr, "usage: ceectl assign <machine> -pool <name>")
 		return 2
 	}
-	m, err := c.MachineAction(ctx, machine, verb, report.ActionRequest{
+	m, err := x.c.MachineAction(ctx, machine, verb, report.ActionRequest{
 		Reason: *reason, Actor: *actor, Day: *day, Score: *score, Pool: *pool,
 	})
 	if err != nil {
-		return fail(err)
+		return x.fail(err)
 	}
-	printRecord(m)
+	renderRecord(x.stdout, m)
 	return 0
 }
 
-func cmdStats(ctx context.Context, c *report.Client) int {
-	s, err := c.StatsContext(ctx)
+func (x *cli) stats(ctx context.Context) int {
+	s, err := x.c.Stats(ctx)
 	if err != nil {
-		return fail(err)
+		return x.fail(err)
 	}
-	fmt.Printf("total_reports=%d machines=%d suspects=%d\n",
+	fmt.Fprintf(x.stdout, "total_reports=%d machines=%d suspects=%d\n",
 		s.TotalReports, s.Machines, s.Suspects)
 	return 0
 }
 
-func cmdFlood(ctx context.Context, c *report.Client, args []string) int {
-	fs := flag.NewFlagSet("flood", flag.ExitOnError)
+func (x *cli) flood(ctx context.Context, args []string) int {
+	fs := flag.NewFlagSet("flood", flag.ContinueOnError)
 	n := fs.Int("n", 100, "number of batches to send")
 	machines := fs.Int("machines", 20, "distinct machines to spread reports over")
 	batch := fs.Int("batch", 32, "reports per batch")
 	source := fs.String("source", "ceectl-flood", "batch source id (idempotency key)")
-	fs.Parse(args)
+	if status, ok := parse(fs, args, x.stderr); !ok {
+		return status
+	}
 	if *n <= 0 || *machines <= 0 || *batch <= 0 {
-		fmt.Fprintln(os.Stderr, "ceectl flood: -n, -machines, -batch must be positive")
+		fmt.Fprintln(x.stderr, "ceectl flood: -n, -machines, -batch must be positive")
 		return 2
 	}
 	counts := map[string]int{}
@@ -244,7 +267,7 @@ func cmdFlood(ctx context.Context, c *report.Client, args []string) int {
 				TimeSec: float64(seq),
 			}
 		}
-		ack, err := c.ReportBatchContext(ctx, report.Batch{
+		ack, err := x.c.ReportBatchContext(ctx, report.Batch{
 			Source: *source, Seq: uint64(seq), Reports: reports,
 		})
 		if err != nil {
@@ -255,11 +278,11 @@ func cmdFlood(ctx context.Context, c *report.Client, args []string) int {
 		}
 		counts[ack.Status]++
 	}
-	fmt.Printf("flood: sent=%d accepted=%d deferred=%d replaced=%d duplicate=%d shed=%d\n",
+	fmt.Fprintf(x.stdout, "flood: sent=%d accepted=%d deferred=%d replaced=%d duplicate=%d shed=%d\n",
 		*n, counts["accepted"], counts["deferred"], counts["replaced"],
 		counts["duplicate"], counts["shed"])
 	if counts["accepted"]+counts["deferred"]+counts["replaced"] == 0 {
-		fmt.Fprintln(os.Stderr, "ceectl flood: no batch was accepted")
+		fmt.Fprintln(x.stderr, "ceectl flood: no batch was accepted")
 		return 1
 	}
 	return 0

@@ -13,8 +13,8 @@
 //	POST /v1/report   {"machine":"m1","core":7,"kind":"app-error","time_sec":0}
 //	                  → 202 on accept; 400 on a malformed report, a
 //	                  machine-less report, trailing bytes after the JSON
-//	                  object, or core < -1 (-1 means machine-level
-//	                  attribution); 405 on a non-POST method; 413 when the
+//	                  object, or a core outside [-1, cores-per-machine)
+//	                  (-1 means machine-level attribution); 413 when the
 //	                  body exceeds 64 KiB
 //	POST /v1/reports  {"source":"host-a","seq":7,"reports":[...]} → 202 on
 //	                  accept/defer, 200 on an idempotent duplicate, 429 +
@@ -34,8 +34,10 @@
 //	GET  /v1/machines — machine-lifecycle ledger (with -wal); plus
 //	                  GET /v1/machines/{id}, ?state=/&pool= filters, and the
 //	                  operator verbs POST /v1/machines/{id}/{cordon,drain,
-//	                  repair,release,remove,assign} (202 when a cordon/drain
-//	                  is deferred behind a pool's capacity floor)
+//	                  repair,release,remove,assign} with an optional JSON
+//	                  body (202 when a cordon/drain is deferred behind a
+//	                  pool's capacity floor; 400 on a malformed body or
+//	                  trailing data after it; 413 past 64 KiB)
 //	GET  /v1/pools    → 200, per-pool capacity accounting (with -pools) plus
 //	                  the deferred-drain queue in admission order
 //
@@ -51,7 +53,8 @@
 // Error contract: every non-2xx response carries Content-Type
 // application/json and the uniform envelope {"error":"<human-readable
 // cause>"}, so clients and load balancers never have to parse free-form
-// text bodies.
+// text bodies. That includes 405 for a wrong method on any route and 404
+// for an unknown path; GET routes also answer HEAD.
 //
 // With -wal, every lifecycle transition is appended (CRC-framed, fsynced)
 // to the write-ahead log before it is acknowledged, and the ledger is

@@ -66,20 +66,6 @@ type SignalSink func(detect.Signal) error
 // one ingest per drained batch instead of one per signal.
 type BatchSignalSink func([]detect.Signal) error
 
-// ClientSink delivers signals to a remote ceereportd over HTTP via the
-// report client (which retries transport failures with backoff).
-func ClientSink(c *report.Client) SignalSink {
-	return func(sig detect.Signal) error {
-		return c.Report(report.Report{
-			Machine: sig.Machine,
-			Core:    sig.Core,
-			Kind:    sig.Kind.String(),
-			Detail:  sig.Detail,
-			TimeSec: float64(sig.Time),
-		})
-	}
-}
-
 // ClientBatchSink delivers signal batches to a remote ceereportd in one
 // POST /v1/reports call each.
 func ClientBatchSink(c *report.Client) BatchSignalSink {

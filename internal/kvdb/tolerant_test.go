@@ -367,7 +367,7 @@ func TestTolerantEndToEndLoop(t *testing.T) {
 	reg := obs.NewRegistry()
 	var now simtime.Time
 	tdb := NewTolerant(db, TolerantConfig{
-		Sink: ClientSink(&report.Client{BaseURL: ts.URL}),
+		BatchSink: ClientBatchSink(&report.Client{BaseURL: ts.URL}),
 		Health: func(machine string, core int) bool {
 			return mgr.Isolated(sched.CoreRef{Machine: machine, Core: core})
 		},

@@ -9,7 +9,6 @@ package report
 // and every accepted one is WAL-durable before the response is written.
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -55,14 +54,6 @@ func (s *Server) SetLifecycle(m *lifecycle.Manager) { s.life = m }
 // Lifecycle returns the attached manager, or nil.
 func (s *Server) Lifecycle() *lifecycle.Manager { return s.life }
 
-// registerAdmin wires the admin routes (Go 1.22 method+wildcard patterns).
-func (s *Server) registerAdmin(mux *http.ServeMux) {
-	mux.HandleFunc("GET /v1/machines", s.handleMachineList)
-	mux.HandleFunc("GET /v1/machines/{id}", s.handleMachineGet)
-	mux.HandleFunc("POST /v1/machines/{id}/{verb}", s.handleMachineVerb)
-	mux.HandleFunc("GET /v1/pools", s.handlePools)
-}
-
 func machineJSON(r lifecycle.Record) MachineJSON {
 	return MachineJSON{
 		Machine:      r.Machine,
@@ -97,13 +88,13 @@ func (s *Server) handleMachineList(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, machineJSON(rec))
 	}
-	writeJSON(w, out)
+	writeJSONStatus(w, http.StatusOK, out)
 }
 
 // handlePools is GET /v1/pools: capacity accounting per pool and the
 // deferred-drain queue in admission order.
 func (s *Server) handlePools(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, PoolsJSON{
+	writeJSONStatus(w, http.StatusOK, PoolsJSON{
 		Pools:    s.life.Pools(),
 		Deferred: s.life.DeferredDrains(),
 	})
@@ -115,7 +106,7 @@ func (s *Server) handleMachineGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "machine %q has no lifecycle record", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, machineJSON(rec))
+	writeJSONStatus(w, http.StatusOK, machineJSON(rec))
 }
 
 // handleMachineVerb is POST /v1/machines/{id}/{verb} with an optional
@@ -124,12 +115,8 @@ func (s *Server) handleMachineVerb(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	verb := r.PathValue("verb")
 	var req ActionRequest
-	if r.Body != nil {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReportBytes))
-		if err := dec.Decode(&req); err != nil && err.Error() != "EOF" {
-			writeError(w, http.StatusBadRequest, "bad action body: %v", err)
-			return
-		}
+	if decodeBody(w, r, maxReportBytes, "action", &req, true) != "" {
+		return
 	}
 	if req.Actor == "" {
 		req.Actor = "admin-api"
@@ -167,17 +154,11 @@ func (s *Server) handleMachineVerb(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown verb %q", verb)
 		return
 	}
-	if errors.Is(err, lifecycle.ErrDeferred) {
-		// The verb was accepted but queued: applying it now would drop the
-		// pool below its capacity floor. The intent is WAL-durable and
-		// admits itself as repaired capacity returns.
-		rec, _ := s.life.State(id)
-		mj := machineJSON(rec)
-		mj.Deferred = true
-		writeJSONStatus(w, http.StatusAccepted, mj)
-		return
-	}
-	if err != nil {
+	// ErrDeferred means the verb was accepted but queued: applying it now
+	// would drop the pool below its capacity floor. The intent is
+	// WAL-durable and admits itself as repaired capacity returns.
+	deferred := errors.Is(err, lifecycle.ErrDeferred)
+	if err != nil && !deferred {
 		// The state machine rejected the transition; the ledger is
 		// unchanged. Conflict, not client error — the request was well
 		// formed, the machine just isn't in a state that allows it.
@@ -185,5 +166,11 @@ func (s *Server) handleMachineVerb(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec, _ := s.life.State(id)
-	writeJSON(w, machineJSON(rec))
+	mj := machineJSON(rec)
+	mj.Deferred = deferred
+	status := http.StatusOK
+	if deferred {
+		status = http.StatusAccepted
+	}
+	writeJSONStatus(w, status, mj)
 }

@@ -146,7 +146,7 @@ func TestRemoveForgetsTrackerState(t *testing.T) {
 	ctx := context.Background()
 	for _, id := range []string{"m", "n"} {
 		for i := 0; i < 6; i++ {
-			if err := c.Report(Report{Machine: id, Core: 3, Kind: "app-error", TimeSec: float64(i)}); err != nil {
+			if err := c.Report(ctx, Report{Machine: id, Core: 3, Kind: "app-error", TimeSec: float64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -13,10 +13,7 @@ package report
 // copy (drop-oldest-duplicate) rather than consuming more capacity.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -287,29 +284,9 @@ func (s *Server) retryAfterSec() int {
 // queue it, ingest it, or shed it. Partial batches never happen; a 4xx
 // means nothing was taken, a 2xx means the entire batch was.
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.rejected("method")
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	dec := json.NewDecoder(body)
 	var batch Batch
-	if err := dec.Decode(&batch); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.rejected("too-large")
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch exceeds %d bytes", maxBatchBytes)
-			return
-		}
-		s.rejected("malformed")
-		writeError(w, http.StatusBadRequest, "bad batch: %v", err)
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		s.rejected("trailing")
-		writeError(w, http.StatusBadRequest, "trailing data after batch object")
+	if reason := decodeBody(w, r, maxBatchBytes, "batch", &batch, false); reason != "" {
+		s.rejected(reason)
 		return
 	}
 	if len(batch.Reports) == 0 {
@@ -355,11 +332,4 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	default: // accepted synchronously
 		writeJSONStatus(w, http.StatusAccepted, BatchAck{Status: status, Accepted: len(sigs)})
 	}
-}
-
-// writeJSONStatus sends a JSON body with an explicit status code.
-func writeJSONStatus(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

@@ -341,7 +341,8 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestClientCapsRetryAfter bounds a hostile Retry-After at MaxRetryAfter.
+// TestClientCapsRetryAfter bounds a hostile Retry-After at
+// defaultMaxRetryAfter; the sleep seam records the wait without taking it.
 func TestClientCapsRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "86400")
@@ -350,18 +351,17 @@ func TestClientCapsRetryAfter(t *testing.T) {
 	defer ts.Close()
 	var slept []time.Duration
 	c := &Client{
-		BaseURL:       ts.URL,
-		MaxAttempts:   2,
-		RetryBackoff:  time.Millisecond,
-		MaxRetryAfter: 2 * time.Second,
-		JitterSeed:    1,
-		sleep:         func(d time.Duration) { slept = append(slept, d) },
+		BaseURL:      ts.URL,
+		MaxAttempts:  2,
+		RetryBackoff: time.Millisecond,
+		JitterSeed:   1,
+		sleep:        func(d time.Duration) { slept = append(slept, d) },
 	}
-	if err := c.Report(Report{Machine: "m1", Core: 0, Kind: "crash"}); err == nil {
+	if err := c.Report(context.Background(), Report{Machine: "m1", Core: 0, Kind: "crash"}); err == nil {
 		t.Fatal("permanently unavailable server should error")
 	}
-	if len(slept) != 1 || slept[0] != 2*time.Second {
-		t.Fatalf("slept %v, want the 2s cap", slept)
+	if len(slept) != 1 || slept[0] != defaultMaxRetryAfter {
+		t.Fatalf("slept %v, want the %v cap", slept, defaultMaxRetryAfter)
 	}
 }
 
@@ -380,7 +380,7 @@ func TestClientContextCancelsRetryLoop(t *testing.T) {
 		JitterSeed:   1,
 		sleep:        func(time.Duration) { cancel() },
 	}
-	err := c.ReportContext(ctx, Report{Machine: "m1", Core: 0, Kind: "crash"})
+	err := c.Report(ctx, Report{Machine: "m1", Core: 0, Kind: "crash"})
 	if err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("err %v, want context cancellation", err)
 	}

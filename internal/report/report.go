@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -97,22 +98,14 @@ type ReadyQueue struct {
 // new-version clients emitting a kind this server predates should be
 // visible in metrics, not silently folded into app-error.
 func kindFromString(s string) (kind detect.SignalKind, known bool) {
-	switch s {
-	case "crash":
-		return detect.SigCrash, true
-	case "mce":
-		return detect.SigMCE, true
-	case "sanitizer":
-		return detect.SigSanitizer, true
-	case "app-error":
-		return detect.SigAppError, true
-	case "screen-fail":
-		return detect.SigScreenFail, true
-	case "user-report":
-		return detect.SigUserReport, true
-	default:
-		return detect.SigAppError, false
+	// The wire names are the kinds' own names.
+	for _, k := range []detect.SignalKind{detect.SigCrash, detect.SigMCE, detect.SigSanitizer,
+		detect.SigAppError, detect.SigScreenFail, detect.SigUserReport} {
+		if k.String() == s {
+			return k, true
+		}
 	}
+	return detect.SigAppError, false
 }
 
 // Server is the suspect-report collection service. Ingest scales across
@@ -181,51 +174,107 @@ func (s *Server) rejected(reason string) {
 	s.reg.Counter("ceereport_reports_rejected_total", obs.L("reason", reason)).Inc()
 }
 
-// Handler returns the HTTP handler exposing the service API:
-//
-//	POST /v1/report   — submit one Report (body capped at 64 KiB)
-//	POST /v1/reports  — submit a Batch (body capped at 1 MiB); may answer
-//	                    429 + Retry-After under overload
-//	GET  /v1/suspects — list nominated suspects
-//	GET  /v1/stats    — service statistics
-//	GET  /v1/healthz  — liveness probe, {"status":"ok"}
-//	GET  /v1/readyz   — readiness probe: WAL writability and ingest-queue
-//	     saturation; 503 with JSON detail when degraded
-//	GET  /v1/metrics  — Prometheus text exposition of the service metrics
-//	     /v1/machines — lifecycle admin API (only when SetLifecycle was
-//	                    called; see admin.go)
-//
-// Every error response carries the JSON envelope {"error":"..."} with the
-// matching HTTP status code (400 for malformed or incomplete reports, 405
-// for a wrong method, 413 for an oversized body, 429 when load is shed).
+// Handler returns the HTTP handler exposing the service API, every route
+// from the one table below; GET routes also answer HEAD, and the admin
+// routes (see admin.go) exist only when SetLifecycle was called. Report
+// and batch bodies are capped at 64 KiB and 1 MiB; /v1/readyz answers 503
+// with its JSON detail when degraded. Every error response carries the
+// JSON envelope {"error":"..."} with the matching HTTP status code: 400
+// for a malformed body, trailing data after it, or an incomplete report;
+// 404 for an unknown path; 405 for a wrong method on a known one; 413 for
+// an oversized body; 429 + Retry-After when load is shed.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/report", s.handleReport)
-	mux.HandleFunc("/v1/reports", s.handleReports)
-	mux.HandleFunc("/v1/suspects", s.handleSuspects)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	mux.HandleFunc("/v1/readyz", s.handleReadyz)
-	mux.HandleFunc("/v1/metrics", s.handleMetrics)
-	if s.life != nil {
-		s.registerAdmin(mux)
+	routes := []struct {
+		method, path string
+		h            http.HandlerFunc
+		admin        bool // registered only with a lifecycle attached
+	}{
+		{http.MethodPost, "/v1/report", s.handleReport, false},
+		{http.MethodPost, "/v1/reports", s.handleReports, false},
+		{http.MethodGet, "/v1/suspects", s.handleSuspects, false},
+		{http.MethodGet, "/v1/stats", s.handleStats, false},
+		{http.MethodGet, "/v1/healthz", s.handleHealthz, false},
+		{http.MethodGet, "/v1/readyz", s.handleReadyz, false},
+		{http.MethodGet, "/v1/metrics", s.handleMetrics, false},
+		{http.MethodGet, "/v1/machines", s.handleMachineList, true},
+		{http.MethodGet, "/v1/machines/{id}", s.handleMachineGet, true},
+		{http.MethodPost, "/v1/machines/{id}/{verb}", s.handleMachineVerb, true},
+		{http.MethodGet, "/v1/pools", s.handlePools, true},
 	}
+	mux := http.NewServeMux()
+	for _, rt := range routes {
+		if rt.admin && s.life == nil {
+			continue
+		}
+		mux.HandleFunc(rt.method+" "+rt.path, rt.h)
+		// The method-less pattern catches every other method on the path
+		// (the method pattern is more specific and wins). A wrong method
+		// on an ingest route counts as a rejected report.
+		method, ingest := rt.method, rt.method == http.MethodPost && !rt.admin
+		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) {
+			if ingest {
+				s.rejected("method")
+			}
+			writeError(w, http.StatusMethodNotAllowed, "%s required", method)
+		})
+	}
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "no route for %s", r.URL.Path)
+	})
 	return mux
+}
+
+// decodeBody decodes r's body into v as exactly one JSON value. It reads
+// at most limit bytes, so an unbounded (or lying Content-Length) request
+// cannot buffer arbitrary bytes in memory, and it reads straight from the
+// body: every ingested batch passes through here. An empty body leaves v
+// zero when emptyOK. On failure it writes the error envelope (413 past
+// the cap, 400 for malformed input or data after the value) and returns
+// the rejection reason for the caller's metrics; "" means v holds the
+// body.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any, emptyOK bool) (reason string) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == io.EOF && emptyOK:
+		return ""
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, limit)
+		return "too-large"
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+		return "malformed"
+	}
+	// Reject trailing JSON values or garbage after the object — silently
+	// ignoring it would mask client framing bugs.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "trailing data after %s object", what)
+		return "trailing"
+	}
+	return ""
 }
 
 // writeError sends the API's uniform JSON error envelope.
 func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
+	writeJSONStatus(w, status, ErrorJSON{Error: fmt.Sprintf(format, args...)})
+}
+
+// writeJSONStatus sends v as a JSON body with an explicit status code,
+// or a 500 error envelope if v does not encode.
+func writeJSONStatus(w http.ResponseWriter, status int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status, body = http.StatusInternalServerError, []byte(`{"error":"response does not encode as JSON"}`)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorJSON{Error: fmt.Sprintf(format, args...)})
+	w.Write(body)
+	io.WriteString(w, "\n")
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, HealthJSON{Status: "ok"})
+	writeJSONStatus(w, http.StatusOK, HealthJSON{Status: "ok"})
 }
 
 // handleReadyz is GET /v1/readyz: 200 when the daemon can durably accept
@@ -233,10 +282,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // a load balancer should stop routing to a daemon whose WAL append path
 // is broken even though the process itself is fine.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	ready := ReadyJSON{Status: "ok"}
 	if s.life != nil && s.life.HasWAL() {
 		ready.WAL.Enabled = true
@@ -252,42 +297,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		ready.Queue.Depth = s.QueueDepth()
 		ready.Queue.Saturated = ready.Queue.Depth >= cap
 	}
+	status := http.StatusOK
 	if (ready.WAL.Enabled && !ready.WAL.Healthy) || ready.Queue.Saturated {
-		ready.Status = "degraded"
-		writeJSONStatus(w, http.StatusServiceUnavailable, ready)
-		return
+		ready.Status, status = "degraded", http.StatusServiceUnavailable
 	}
-	writeJSON(w, ready)
+	writeJSONStatus(w, status, ready)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.rejected("method")
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	// Bound the body before touching it: an unbounded (or lying
-	// Content-Length) request must not buffer arbitrary bytes in memory.
-	body := http.MaxBytesReader(w, r.Body, maxReportBytes)
-	dec := json.NewDecoder(body)
 	var rep Report
-	if err := dec.Decode(&rep); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.rejected("too-large")
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"report exceeds %d bytes", maxReportBytes)
-			return
-		}
-		s.rejected("malformed")
-		writeError(w, http.StatusBadRequest, "bad report: %v", err)
-		return
-	}
-	// Reject trailing JSON values or garbage after the report object —
-	// silently ignoring it would mask client framing bugs.
-	if _, err := dec.Token(); err != io.EOF {
-		s.rejected("trailing")
-		writeError(w, http.StatusBadRequest, "trailing data after report object")
+	if reason := decodeBody(w, r, maxReportBytes, "report", &rep, false); reason != "" {
+		s.rejected(reason)
 		return
 	}
 	sig, reason, msg := s.signalFromReport(rep)
@@ -389,10 +409,6 @@ func (s *Server) TotalReports() int {
 }
 
 func (s *Server) handleSuspects(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	sus := s.Suspects()
 	out := make([]SuspectJSON, len(sus))
 	for i, x := range sus {
@@ -401,7 +417,7 @@ func (s *Server) handleSuspects(w http.ResponseWriter, r *http.Request) {
 			PValue: x.PValue, Score: x.Score(),
 		}
 	}
-	writeJSON(w, out)
+	writeJSONStatus(w, http.StatusOK, out)
 }
 
 // ReportingMachines returns the number of distinct machines that have
@@ -412,14 +428,10 @@ func (s *Server) ReportingMachines() int {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	// Machines counts every distinct reporting machine, not just those
 	// with a current nomination — a fleet of one-report machines is load
 	// the operator needs to see even though it nominates nothing.
-	writeJSON(w, StatsJSON{
+	writeJSONStatus(w, http.StatusOK, StatsJSON{
 		TotalReports: s.TotalReports(),
 		Machines:     s.ReportingMachines(),
 		Suspects:     len(s.Suspects()),
@@ -427,10 +439,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	// Refresh the scrape-time gauges before rendering.
 	total := s.TotalReports()
 	machines := s.ReportingMachines()
@@ -442,18 +450,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.WritePrometheus(w)
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 // Client default retry/timeout policy.
 const (
 	defaultClientTimeout = 5 * time.Second
 	defaultMaxAttempts   = 3
 	defaultRetryBackoff  = 50 * time.Millisecond
+	// defaultMaxRetryAfter caps how much of a server Retry-After hint is
+	// honored, so a hostile or misconfigured server cannot park clients
+	// indefinitely.
 	defaultMaxRetryAfter = 5 * time.Second
 	// maxRetryBackoff caps the exponential retry delay: past this point
 	// more waiting is just unavailability, not politeness.
@@ -469,10 +473,11 @@ var defaultHTTPClient = &http.Client{Timeout: defaultClientTimeout}
 // Client talks to a report server over HTTP. Transport-level failures
 // (connection refused, resets, timeouts) and explicit backpressure
 // responses (429, 503) are retried with jittered exponential backoff up
-// to MaxAttempts, honoring the server's Retry-After hint (capped by
-// MaxRetryAfter); other HTTP status errors are not retried — the request
-// was delivered and answered. Every method has a Context variant that
-// threads cancellation and deadlines through requests and retry sleeps.
+// to MaxAttempts, honoring the server's Retry-After hint (capped at 5s);
+// other HTTP status errors are not retried — the request was delivered
+// and answered. Every call takes a context that bounds its requests and
+// retry sleeps, except the ReportBatch and Suspects shorthands, which
+// use context.Background.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
@@ -484,10 +489,6 @@ type Client struct {
 	// RetryBackoff is the base delay before the first retry, doubled per
 	// further retry with up to 50% random jitter (0 means 50ms).
 	RetryBackoff time.Duration
-	// MaxRetryAfter caps how much of a server Retry-After hint is
-	// honored, so a hostile or misconfigured server cannot park clients
-	// indefinitely (0 means 5s).
-	MaxRetryAfter time.Duration
 	// JitterSeed seeds the client's private retry-jitter stream; 0 (the
 	// default) seeds from the clock at first use, so independent clients
 	// de-synchronize. Tests set it for reproducible backoff schedules.
@@ -542,28 +543,14 @@ func (c *Client) wait(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// retryableStatus reports whether status is explicit server backpressure
-// worth retrying (the request may not have been acted on).
-func retryableStatus(status int) bool {
-	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
-}
-
 // retryAfter parses a Retry-After header (delta-seconds form) capped at
-// the client's maximum; 0 when absent or unparseable.
-func (c *Client) retryAfter(resp *http.Response) time.Duration {
+// defaultMaxRetryAfter; 0 when absent or unparseable.
+func retryAfter(resp *http.Response) time.Duration {
 	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
 	if err != nil || secs < 0 {
 		return 0
 	}
-	d := time.Duration(secs) * time.Second
-	max := c.MaxRetryAfter
-	if max <= 0 {
-		max = defaultMaxRetryAfter
-	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(time.Duration(secs)*time.Second, defaultMaxRetryAfter)
 }
 
 // do runs send with the client's retry policy. send must build a fresh
@@ -605,8 +592,10 @@ func (c *Client) do(ctx context.Context, send func(context.Context) (*http.Respo
 			serverHint = 0
 			continue
 		}
-		if retryableStatus(resp.StatusCode) {
-			serverHint = c.retryAfter(resp)
+		// 429 and 503 are explicit backpressure: the request may not have
+		// been acted on, so it is worth retrying.
+		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
+			serverHint = retryAfter(resp)
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			lastErr = fmt.Errorf("server returned %s", resp.Status)
@@ -617,49 +606,54 @@ func (c *Client) do(ctx context.Context, send func(context.Context) (*http.Respo
 	return nil, fmt.Errorf("report: %d attempt(s) failed: %w", attempts, lastErr)
 }
 
-// get issues a retried GET of path.
-func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
-	return c.do(ctx, func(ctx context.Context) (*http.Response, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		return c.client().Do(req)
-	})
+// send issues one request, with body (nil for none) as its JSON payload.
+func (c *Client) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	return c.client().Do(req)
 }
 
-// post issues a retried JSON POST of body to path.
-func (c *Client) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
-	return c.do(ctx, func(ctx context.Context) (*http.Response, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
+// call runs one API call under the retry policy: it sends in (unless
+// nil) as the JSON body, fails unless the answer's status is one of ok,
+// and decodes the answer into out (unless nil). what prefixes the error.
+func (c *Client) call(ctx context.Context, what, method, path string, in, out any, ok ...int) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		return c.client().Do(req)
+	}
+	resp, err := c.do(ctx, func(ctx context.Context) (*http.Response, error) {
+		return c.send(ctx, method, path, body)
 	})
+	if err != nil {
+		return err
+	}
+	return answer(resp, what, out, ok...)
+}
+
+// answer checks resp's status against ok, decodes its body into out
+// unless out is nil, and closes it.
+func answer(resp *http.Response, what string, out any, ok ...int) error {
+	defer resp.Body.Close()
+	if !slices.Contains(ok, resp.StatusCode) {
+		return fmt.Errorf("%s: server returned %s", what, apiError(resp))
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Report submits one suspect-core report.
-func (c *Client) Report(rep Report) error {
-	return c.ReportContext(context.Background(), rep)
-}
-
-// ReportContext submits one suspect-core report, honoring ctx.
-func (c *Client) ReportContext(ctx context.Context, rep Report) error {
-	body, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	resp, err := c.post(ctx, "/v1/report", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("report: server returned %s", resp.Status)
-	}
-	return nil
+func (c *Client) Report(ctx context.Context, rep Report) error {
+	return c.call(ctx, "report", http.MethodPost, "/v1/report", rep, nil, http.StatusAccepted)
 }
 
 // ReportBatch submits a batch of reports via POST /v1/reports.
@@ -672,19 +666,8 @@ func (c *Client) ReportBatch(batch Batch) (BatchAck, error) {
 // shed the returned error wraps the last status.
 func (c *Client) ReportBatchContext(ctx context.Context, batch Batch) (BatchAck, error) {
 	var ack BatchAck
-	body, err := json.Marshal(batch)
-	if err != nil {
-		return ack, err
-	}
-	resp, err := c.post(ctx, "/v1/reports", body)
-	if err != nil {
-		return ack, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		return ack, fmt.Errorf("reports: server returned %s", resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&ack)
+	err := c.call(ctx, "reports", http.MethodPost, "/v1/reports", batch, &ack,
+		http.StatusAccepted, http.StatusOK)
 	return ack, err
 }
 
@@ -695,58 +678,16 @@ func (c *Client) Suspects() ([]SuspectJSON, error) {
 
 // SuspectsContext fetches the current suspect list, honoring ctx.
 func (c *Client) SuspectsContext(ctx context.Context) ([]SuspectJSON, error) {
-	resp, err := c.get(ctx, "/v1/suspects")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("suspects: server returned %s", resp.Status)
-	}
 	var out []SuspectJSON
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Stats fetches service statistics.
-func (c *Client) Stats() (StatsJSON, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext fetches service statistics, honoring ctx.
-func (c *Client) StatsContext(ctx context.Context) (StatsJSON, error) {
-	var out StatsJSON
-	resp, err := c.get(ctx, "/v1/stats")
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("stats: server returned %s", resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	err := c.call(ctx, "suspects", http.MethodGet, "/v1/suspects", nil, &out, http.StatusOK)
 	return out, err
 }
 
-// Metrics fetches the server's Prometheus text exposition.
-func (c *Client) Metrics() (string, error) {
-	return c.MetricsContext(context.Background())
-}
-
-// MetricsContext fetches the Prometheus exposition, honoring ctx.
-func (c *Client) MetricsContext(ctx context.Context) (string, error) {
-	resp, err := c.get(ctx, "/v1/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("metrics: server returned %s", resp.Status)
-	}
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
+// Stats fetches service statistics.
+func (c *Client) Stats(ctx context.Context) (StatsJSON, error) {
+	var out StatsJSON
+	err := c.call(ctx, "stats", http.MethodGet, "/v1/stats", nil, &out, http.StatusOK)
+	return out, err
 }
 
 // Machines fetches the lifecycle ledger from the admin API, optionally
@@ -763,31 +704,15 @@ func (c *Client) Machines(ctx context.Context, state, pool string) ([]MachineJSO
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	resp, err := c.get(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("machines: server returned %s", apiError(resp))
-	}
 	var out []MachineJSON
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	err := c.call(ctx, "machines", http.MethodGet, path, nil, &out, http.StatusOK)
 	return out, err
 }
 
 // Machine fetches one machine's lifecycle record.
 func (c *Client) Machine(ctx context.Context, id string) (MachineJSON, error) {
 	var out MachineJSON
-	resp, err := c.get(ctx, "/v1/machines/"+id)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("machine %s: server returned %s", id, apiError(resp))
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	err := c.call(ctx, "machine "+id, http.MethodGet, "/v1/machines/"+id, nil, &out, http.StatusOK)
 	return out, err
 }
 
@@ -797,19 +722,8 @@ func (c *Client) Machine(ctx context.Context, id string) (MachineJSON, error) {
 // returned record has Deferred set.
 func (c *Client) MachineAction(ctx context.Context, id, verb string, req ActionRequest) (MachineJSON, error) {
 	var out MachineJSON
-	body, err := json.Marshal(req)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.post(ctx, "/v1/machines/"+id+"/"+verb, body)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return out, fmt.Errorf("%s %s: server returned %s", verb, id, apiError(resp))
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	err := c.call(ctx, verb+" "+id, http.MethodPost, "/v1/machines/"+id+"/"+verb, req, &out,
+		http.StatusOK, http.StatusAccepted)
 	return out, err
 }
 
@@ -817,15 +731,7 @@ func (c *Client) MachineAction(ctx context.Context, id, verb string, req ActionR
 // queue from the admin API.
 func (c *Client) Pools(ctx context.Context) (PoolsJSON, error) {
 	var out PoolsJSON
-	resp, err := c.get(ctx, "/v1/pools")
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("pools: server returned %s", apiError(resp))
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	err := c.call(ctx, "pools", http.MethodGet, "/v1/pools", nil, &out, http.StatusOK)
 	return out, err
 }
 
@@ -833,22 +739,12 @@ func (c *Client) Pools(ctx context.Context) (PoolsJSON, error) {
 // retried its own 503s would defeat its purpose. The parsed body comes
 // back for both 200 and 503; ready reports which it was.
 func (c *Client) Readyz(ctx context.Context) (out ReadyJSON, ready bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/readyz", nil)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/readyz", nil)
 	if err != nil {
 		return out, false, err
 	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return out, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return out, false, fmt.Errorf("readyz: server returned %s", apiError(resp))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, false, err
-	}
-	return out, resp.StatusCode == http.StatusOK, nil
+	err = answer(resp, "readyz", &out, http.StatusOK, http.StatusServiceUnavailable)
+	return out, err == nil && resp.StatusCode == http.StatusOK, err
 }
 
 // apiError renders a non-2xx response for error messages, folding in the

@@ -2,17 +2,21 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/detect"
+	"repro/internal/lifecycle"
 	"repro/internal/simtime"
 )
 
@@ -27,7 +31,7 @@ func newTestService(t *testing.T) (*Server, *Client) {
 func TestReportAndSuspectsRoundTrip(t *testing.T) {
 	_, c := newTestService(t)
 	for i := 0; i < 6; i++ {
-		err := c.Report(Report{Machine: "m1", Core: 9, Kind: "app-error", TimeSec: float64(i)})
+		err := c.Report(context.Background(), Report{Machine: "m1", Core: 9, Kind: "app-error", TimeSec: float64(i)})
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
@@ -47,14 +51,14 @@ func TestReportAndSuspectsRoundTrip(t *testing.T) {
 func TestStats(t *testing.T) {
 	_, c := newTestService(t)
 	for i := 0; i < 4; i++ {
-		if err := c.Report(Report{Machine: "mA", Core: 1, Kind: "crash"}); err != nil {
+		if err := c.Report(context.Background(), Report{Machine: "mA", Core: 1, Kind: "crash"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Report(Report{Machine: "mB", Core: -1, Kind: "mce"}); err != nil {
+	if err := c.Report(context.Background(), Report{Machine: "mB", Core: -1, Kind: "mce"}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +75,11 @@ func TestStatsCountsNonNominatedMachines(t *testing.T) {
 	srv, c := newTestService(t)
 	// One report each from ten machines: zero suspects, ten machines.
 	for i := 0; i < 10; i++ {
-		if err := c.Report(Report{Machine: fmt.Sprintf("m%02d", i), Core: 0, Kind: "crash"}); err != nil {
+		if err := c.Report(context.Background(), Report{Machine: fmt.Sprintf("m%02d", i), Core: 0, Kind: "crash"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.Stats()
+	st, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +167,22 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestErrorEnvelope(t *testing.T) {
+	wal, _, _, err := lifecycle.OpenWAL(filepath.Join(t.TempDir(), "envelope.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := lifecycle.NewManager(lifecycle.Options{WAL: wal})
+	defer mgr.Close()
+	if _, err := mgr.MarkSuspect("m2", 0, "setup"); err != nil {
+		t.Fatal(err)
+	}
+	seq := wal.Seq()
 	srv := NewServer(8)
+	srv.SetLifecycle(mgr)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	bigAction := `{"reason":"` + strings.Repeat("x", 70<<10) + `"}`
 	cases := []struct {
 		name, method, path, body string
 		wantStatus               int
@@ -177,6 +193,12 @@ func TestErrorEnvelope(t *testing.T) {
 		{"wrong method on suspects", http.MethodPost, "/v1/suspects", "{}", http.StatusMethodNotAllowed},
 		{"wrong method on stats", http.MethodPost, "/v1/stats", "{}", http.StatusMethodNotAllowed},
 		{"wrong method on healthz", http.MethodPost, "/v1/healthz", "{}", http.StatusMethodNotAllowed},
+		{"wrong method on a machine", http.MethodDelete, "/v1/machines/m1", "", http.StatusMethodNotAllowed},
+		{"wrong method on pools", http.MethodPost, "/v1/pools", "{}", http.StatusMethodNotAllowed},
+		{"unknown path", http.MethodGet, "/v1/nope", "", http.StatusNotFound},
+		{"oversized action body", http.MethodPost, "/v1/machines/m2/cordon", bigAction, http.StatusRequestEntityTooLarge},
+		{"garbage after action body", http.MethodPost, "/v1/machines/m2/cordon", `{"reason":"a"} garbage`, http.StatusBadRequest},
+		{"two action bodies", http.MethodPost, "/v1/machines/m2/cordon", `{"reason":"a"}{"reason":"b"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
@@ -201,6 +223,19 @@ func TestErrorEnvelope(t *testing.T) {
 		if e.Error == "" {
 			t.Fatalf("%s: empty error message", tc.name)
 		}
+	}
+	// The refused admin verbs applied and logged nothing.
+	if got := wal.Seq(); got != seq {
+		t.Fatalf("WAL seq %d -> %d: a refused verb was logged", seq, got)
+	}
+	if rec, _ := mgr.State("m2"); rec.State != lifecycle.Suspect {
+		t.Fatalf("m2 is %v after refused verbs, want suspect", rec.State)
+	}
+	// Only the wrong method on an ingest route counts as a rejected report.
+	var text bytes.Buffer
+	srv.Metrics().WritePrometheus(&text)
+	if want := `ceereport_reports_rejected_total{reason="method"} 1` + "\n"; !strings.Contains(text.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, text.String())
 	}
 }
 
@@ -285,11 +320,11 @@ func TestKindMapping(t *testing.T) {
 func TestUnknownKindCounted(t *testing.T) {
 	srv, c := newTestService(t)
 	for i := 0; i < 3; i++ {
-		if err := c.Report(Report{Machine: "m", Core: 0, Kind: "mystery-kind"}); err != nil {
+		if err := c.Report(context.Background(), Report{Machine: "m", Core: 0, Kind: "mystery-kind"}); err != nil {
 			t.Fatalf("report: %v", err)
 		}
 	}
-	if err := c.Report(Report{Machine: "m", Core: 0, Kind: "app-error"}); err != nil {
+	if err := c.Report(context.Background(), Report{Machine: "m", Core: 0, Kind: "app-error"}); err != nil {
 		t.Fatalf("report: %v", err)
 	}
 	snap := srv.Metrics().Snapshot()
@@ -317,7 +352,7 @@ func TestOnSignalHook(t *testing.T) {
 		got = append(got, s)
 		mu.Unlock()
 	}
-	if err := c.Report(Report{Machine: "m", Core: 2, Kind: "sanitizer", Detail: "asan"}); err != nil {
+	if err := c.Report(context.Background(), Report{Machine: "m", Core: 2, Kind: "sanitizer", Detail: "asan"}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -362,13 +397,13 @@ func TestConcurrentIngest(t *testing.T) {
 func TestClientErrorOnUnreachableServer(t *testing.T) {
 	// nothing listens here; MaxAttempts 1 keeps the failure immediate
 	c := &Client{BaseURL: "http://127.0.0.1:1", MaxAttempts: 1}
-	if err := c.Report(Report{Machine: "m"}); err == nil {
+	if err := c.Report(context.Background(), Report{Machine: "m"}); err == nil {
 		t.Fatal("expected connection error")
 	}
 	if _, err := c.Suspects(); err == nil {
 		t.Fatal("expected connection error")
 	}
-	if _, err := c.Stats(); err == nil {
+	if _, err := c.Stats(context.Background()); err == nil {
 		t.Fatal("expected connection error")
 	}
 }
@@ -470,10 +505,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer ts.Close()
 	c := &Client{BaseURL: ts.URL}
 
-	if err := c.Report(Report{Machine: "m1", Core: 1, Kind: "crash"}); err != nil {
+	if err := c.Report(context.Background(), Report{Machine: "m1", Core: 1, Kind: "crash"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(Report{Machine: "m1", Core: 1, Kind: "mce"}); err != nil {
+	if err := c.Report(context.Background(), Report{Machine: "m1", Core: 1, Kind: "mce"}); err != nil {
 		t.Fatal(err)
 	}
 	postReport(t, ts.URL, `{"machine":"m1","core":-7}`) // rejected: bad-core
@@ -489,10 +524,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	body, err := c.Metrics()
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	body := string(raw)
 	for _, w := range []string{
 		`ceereport_signals_accepted_total{kind="crash"} 1`,
 		`ceereport_signals_accepted_total{kind="mce"} 1`,
@@ -572,7 +608,7 @@ func TestClientRetriesThenSucceeds(t *testing.T) {
 		HTTPClient: &http.Client{Transport: ft},
 		sleep:      func(d time.Duration) { slept = append(slept, d) },
 	}
-	if err := c.Report(Report{Machine: "m1", Core: 0, Kind: "crash"}); err != nil {
+	if err := c.Report(context.Background(), Report{Machine: "m1", Core: 0, Kind: "crash"}); err != nil {
 		t.Fatalf("report after retries: %v", err)
 	}
 	if srv.TotalReports() != 1 {
@@ -603,7 +639,7 @@ func TestClientRetryExhaustion(t *testing.T) {
 		HTTPClient: &http.Client{Transport: ft},
 		sleep:      func(time.Duration) {},
 	}
-	err := c.Report(Report{Machine: "m"})
+	err := c.Report(context.Background(), Report{Machine: "m"})
 	if err == nil {
 		t.Fatal("expected exhaustion error")
 	}
@@ -629,7 +665,7 @@ func TestClientTimeoutAgainstStalledHandler(t *testing.T) {
 		MaxAttempts: 1,
 	}
 	start := time.Now()
-	err := c.Report(Report{Machine: "m", Core: 0, Kind: "crash"})
+	err := c.Report(context.Background(), Report{Machine: "m", Core: 0, Kind: "crash"})
 	if err == nil {
 		t.Fatal("stalled server did not time the client out")
 	}
@@ -680,7 +716,7 @@ func TestClientJitterSeedReproducible(t *testing.T) {
 			JitterSeed:  seed,
 			sleep:       func(d time.Duration) { slept = append(slept, d) },
 		}
-		if err := c.Report(Report{Machine: "m"}); err == nil {
+		if err := c.Report(context.Background(), Report{Machine: "m"}); err == nil {
 			t.Fatal("expected exhaustion error")
 		}
 		return slept
@@ -730,7 +766,7 @@ func TestClientJitterConcurrentRetries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if err := c.Report(Report{Machine: "m"}); err == nil {
+				if err := c.Report(context.Background(), Report{Machine: "m"}); err == nil {
 					t.Error("expected exhaustion error")
 					return
 				}

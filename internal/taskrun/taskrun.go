@@ -44,7 +44,7 @@ import (
 )
 
 // SignalSink is where escalated divergence signals go — the same
-// pluggable sink type the kvdb serving layer uses, so kvdb.ClientSink
+// pluggable sink type the kvdb serving layer uses, so any kvdb sink
 // plugs in directly.
 type SignalSink = kvdb.SignalSink
 
