@@ -54,7 +54,6 @@ var keptUnreferenced = map[string]string{
 	"internal/obs.Gauge.Add":                    "gauge half of the registry API; the obs tests pin its lock-free add",
 	"internal/obs.ReadJSONL":                    "reader half of the trace format; metrics.TestDetectionFromTraceMatchesGroundTruth parses traces with it",
 	"internal/obs.ShardedCounter.Inc":           "keeps ShardedCounter a drop-in for Counter; the obs tests use it",
-	"internal/remediate.ByName":                 "name-to-policy lookup pinned by TestPolicyByName",
 	"internal/replay.Replayer.Position":         "tape introspection the replay tests check positions and labels with",
 	"internal/replay.Replayer.Remaining":        "tape introspection the replay tests check positions and labels with",
 	"internal/replay.Tape.Label":                "tape introspection the replay tests check positions and labels with",
@@ -66,8 +65,6 @@ var keptUnreferenced = map[string]string{
 	"internal/sched.Cluster.TaskOn":             "cluster introspection the sched, quarantine and lifecycle tests assert with",
 	"internal/sched.Machine.Cordoned":           "cluster introspection the sched, quarantine and lifecycle tests assert with",
 	"internal/sched.Machine.Cores":              "cluster introspection the sched, quarantine and lifecycle tests assert with",
-	"internal/sched.Machine.Drained":            "cluster introspection the sched, quarantine and lifecycle tests assert with",
-	"internal/sched.Machine.State":              "cluster introspection the sched, quarantine and lifecycle tests assert with",
 	"internal/screen.Online.Tick":               "online-screening step the screen tests drive",
 	"internal/selfcheck.Verifier.Compress":      "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
 	"internal/selfcheck.Verifier.Copy":          "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",

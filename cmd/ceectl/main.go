@@ -26,7 +26,9 @@
 //
 // flood exists for smoke tests: it ships n batches of synthetic crash
 // reports through POST /v1/reports, riding the client's retry/Retry-After
-// handling when the server sheds, and prints the delivery accounting.
+// handling when the server sheds, and prints the delivery accounting:
+// shed counts batches the server refused through every retry (429/503),
+// unreachable those that last failed in transport.
 package main
 
 import (
@@ -271,16 +273,21 @@ func (x *cli) flood(ctx context.Context, args []string) int {
 			Source: *source, Seq: uint64(seq), Reports: reports,
 		})
 		if err != nil {
-			// Shed through every retry: count it and keep flooding — the
-			// point of the tool is to observe backpressure, not die to it.
-			counts["shed"]++
+			// Count it and keep flooding — the point of the tool is to
+			// observe backpressure, not die to it. A batch the server shed
+			// through every retry is not one that never reached it.
+			if errors.Is(err, report.ErrShed) {
+				counts["shed"]++
+			} else {
+				counts["unreachable"]++
+			}
 			continue
 		}
 		counts[ack.Status]++
 	}
-	fmt.Fprintf(x.stdout, "flood: sent=%d accepted=%d deferred=%d replaced=%d duplicate=%d shed=%d\n",
+	fmt.Fprintf(x.stdout, "flood: sent=%d accepted=%d deferred=%d replaced=%d duplicate=%d shed=%d unreachable=%d\n",
 		*n, counts["accepted"], counts["deferred"], counts["replaced"],
-		counts["duplicate"], counts["shed"])
+		counts["duplicate"], counts["shed"], counts["unreachable"])
 	if counts["accepted"]+counts["deferred"]+counts["replaced"] == 0 {
 		fmt.Fprintln(x.stderr, "ceectl flood: no batch was accepted")
 		return 1

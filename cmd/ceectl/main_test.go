@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -73,7 +74,7 @@ func TestRunAgainstDaemon(t *testing.T) {
 		{"show m2", 0, "m2           drained    since_day=5    repairs=0 transitions=3 pool=web\n", ""},
 		{"remove m5 -reason recidivist", 0, "m5           removed    since_day=0    repairs=0 transitions=2 reason=\"recidivist\"\n", ""},
 		{"stats", 0, "total_reports=0 machines=0 suspects=0\n", ""},
-		{"flood -n 3 -machines 2 -batch 4", 0, "flood: sent=3 accepted=3 deferred=0 replaced=0 duplicate=0 shed=0\n", ""},
+		{"flood -n 3 -machines 2 -batch 4", 0, "flood: sent=3 accepted=3 deferred=0 replaced=0 duplicate=0 shed=0 unreachable=0\n", ""},
 		{"flood -n 0", 2, "", "must be positive"},
 		{"stats", 0, "total_reports=12 machines=2 suspects=2\n", ""},
 		{"readyz", 0, "status=ok wal_enabled=true wal_healthy=true queue_depth=0/0\n", ""},
@@ -94,7 +95,8 @@ func TestRunAgainstDaemon(t *testing.T) {
 }
 
 // TestRunUnreachableDaemon: a daemon that does not answer is a server
-// error (exit 1), not a usage error.
+// error (exit 1), not a usage error, and flood counts its batches as
+// unreachable, not shed.
 func TestRunUnreachableDaemon(t *testing.T) {
 	ts := httptest.NewServer(nil)
 	url := ts.URL
@@ -102,5 +104,30 @@ func TestRunUnreachableDaemon(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-addr", url, "readyz"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("readyz against a closed port: exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	stdout.Reset()
+	if code := run([]string{"-addr", url, "flood", "-n", "2"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("flood against a closed port: exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	const want = "flood: sent=2 accepted=0 deferred=0 replaced=0 duplicate=0 shed=0 unreachable=2\n"
+	if stdout.String() != want {
+		t.Fatalf("flood against a closed port printed %q, want %q", stdout.String(), want)
+	}
+}
+
+// TestFloodCountsShedBatches: a server that answers every attempt with
+// 429 shed the batch; flood must not call that unreachable.
+func TestFloodCountsShedBatches(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-addr", ts.URL, "flood", "-n", "2"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("flood against a shedding server: exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	const want = "flood: sent=2 accepted=0 deferred=0 replaced=0 duplicate=0 shed=2 unreachable=0\n"
+	if stdout.String() != want {
+		t.Fatalf("flood against a shedding server printed %q, want %q", stdout.String(), want)
 	}
 }

@@ -127,11 +127,7 @@ func parsePools(spec string) ([]lifecycle.PoolConfig, error) {
 // seam, translating WAL records into operator events.
 func notifyObserver(sinks []remediate.Notifier) func(lifecycle.Transition) {
 	return func(t lifecycle.Transition) {
-		e := remediate.Event{
-			Seq: t.Seq, Day: t.Day, Machine: t.Machine,
-			From: t.From, To: t.To, Kind: t.Kind, Pool: t.Pool,
-			Score: t.Score, Reason: t.Reason, Actor: t.Actor,
-		}
+		e := remediate.EventOf(t)
 		for _, s := range sinks {
 			s.Notify(e)
 		}

@@ -52,9 +52,9 @@ func E14(s Scale) E14Result {
 			row.Machines++
 		}
 	}
-	quarantined := map[sched.CoreRef]bool{}
+	quarantineDay := map[sched.CoreRef]float64{}
 	for _, r := range f.Manager().Records() {
-		quarantined[r.Ref] = true
+		quarantineDay[r.Ref] = r.When.Days()
 	}
 	latSum := map[string]float64{}
 	latN := map[string]int{}
@@ -68,16 +68,14 @@ func E14(s Scale) E14Result {
 			row.ActiveByEnd++
 		}
 		ref := sched.CoreRef{Machine: d.Machine, Core: d.Core}
-		if quarantined[ref] {
+		if day, ok := quarantineDay[ref]; ok {
 			row.Quarantined++
-			if day, ok := f.QuarantineDay(ref); ok {
-				lat := float64(day) - d.FirstActive.Days()
-				if lat < 0 {
-					lat = 0
-				}
-				latSum[row.SKU] += lat
-				latN[row.SKU]++
+			lat := day - d.FirstActive.Days()
+			if lat < 0 {
+				lat = 0
 			}
+			latSum[row.SKU] += lat
+			latN[row.SKU]++
 		}
 	}
 	var out E14Result

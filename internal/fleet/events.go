@@ -113,7 +113,7 @@ func (f *Fleet) DrainMachine(id string) error {
 	if err != nil {
 		return err
 	}
-	if m.drained {
+	if m.cluster.Drained() {
 		return nil
 	}
 	// Pool budget first: a maintenance drain that would breach the
@@ -125,7 +125,6 @@ func (f *Fleet) DrainMachine(id string) error {
 	if _, err := f.cluster.Drain(id); err != nil {
 		return err
 	}
-	m.drained = true
 	// Record the maintenance drain in the lifecycle ledger when the
 	// control plane is on. Best-effort: a ledger oddity (say, the machine
 	// was already removed) must not undo the cluster drain above.
@@ -145,13 +144,12 @@ func (f *Fleet) UndrainMachine(id string) error {
 	if err != nil {
 		return err
 	}
-	if !m.drained {
+	if !m.cluster.Drained() {
 		return nil
 	}
 	if err := f.cluster.Undrain(id); err != nil {
 		return err
 	}
-	m.drained = false
 	if f.life != nil {
 		// Reintroduce is an idempotent no-op for ledger-healthy machines;
 		// errors (e.g. a removed machine) are deliberately not fatal here —
@@ -239,7 +237,6 @@ func (f *Fleet) StartKVLoad(cfg KVDBConfig) error {
 // running is a no-op.
 func (f *Fleet) StopKVLoad() {
 	f.kvStores = nil
-	f.kvSignals = nil
 	f.kvAvoid = nil
 	f.cfg.KVDB = KVDBConfig{}
 }
@@ -262,6 +259,5 @@ func (f *Fleet) StartTaskRun(cfg TaskRunConfig) error {
 // running is a no-op.
 func (f *Fleet) StopTaskRun() {
 	f.taskSup = nil
-	f.trSignals = nil
 	f.cfg.TaskRun = TaskRunConfig{}
 }

@@ -216,9 +216,15 @@ type Machine struct {
 	// install is the (possibly negative) simulated time the machine
 	// entered service; cores age from it.
 	install simtime.Time
-	// quarantined cores no longer run workload or screening.
-	quarantined map[int]bool
-	drained     bool
+	// cluster is the machine's scheduler record, the one owner of its
+	// containment state: drains and quarantined cores live there.
+	cluster *sched.Machine
+}
+
+// outOfService reports whether core runs no workload or screening: its
+// machine is drained, or quarantine moved the core out of CoreHealthy.
+func (m *Machine) outOfService(core int) bool {
+	return m.cluster.Drained() || m.cluster.State(core) != sched.CoreHealthy
 }
 
 // pickSKU draws a SKU proportionally to Fraction.
@@ -379,10 +385,8 @@ type Fleet struct {
 	manager *quarantine.Manager
 	allWork []corpus.Workload
 	// Truth and detection ledgers.
-	Triage TriageStats
-	// quarantineDay maps core ref to the day it was isolated.
-	quarantineDay map[sched.CoreRef]int
-	repairQueue   []repairTicket
+	Triage      TriageStats
+	repairQueue []repairTicket
 	// Repairs counts completed repairs.
 	Repairs int
 	day     int
@@ -399,20 +403,17 @@ type Fleet struct {
 	// silicon starts a fresh stream.
 	sigSeen   map[sched.CoreRef]bool
 	nominated map[sched.CoreRef]bool
+	// signals buffers the signals a serial phase produces (the kvdb and
+	// taskrun sinks, noise, user reports) until the phase hands them to
+	// merge; it is empty between phases.
+	signals []detect.Signal
 	// kvdb workload state (see kvdb.go); empty unless Config.KVDB enables
-	// the phase. kvSignals buffers the day's detection signals for batch
-	// merge; kvAvoid caches the day's high-score suspect cores; kvNow
-	// timestamps outgoing signals.
-	kvStores  []*kvStore
-	kvSignals []detect.Signal
-	kvAvoid   map[sched.CoreRef]bool
-	kvNow     simtime.Time
+	// the phase. kvAvoid caches the day's high-score suspect cores.
+	kvStores []*kvStore
+	kvAvoid  map[sched.CoreRef]bool
 	// taskrun workload state (see taskrun.go); nil unless Config.TaskRun
-	// enables the phase. trSignals buffers the day's escalated signals
-	// for batch merge; trNow timestamps them.
-	taskSup   *taskrun.Supervisor
-	trSignals []detect.Signal
-	trNow     simtime.Time
+	// enables the phase.
+	taskSup *taskrun.Supervisor
 	// point is the fleet-wide operating point (see SetOperatingPoint);
 	// materialized cores carry their own copy.
 	point fault.OperatingPoint
@@ -452,17 +453,16 @@ func newFleet(cfg Config) *Fleet {
 		cfg.Policy.DeclineRetry = 30 * simtime.Day
 	}
 	f := &Fleet{
-		cfg:           cfg,
-		rng:           xrand.New(cfg.Seed),
-		parallelism:   runtime.GOMAXPROCS(0),
-		point:         fault.Nominal,
-		server:        report.NewServer(cfg.CoresPerMachine),
-		cluster:       sched.NewCluster(),
-		allWork:       corpus.All(),
-		quarantineDay: map[sched.CoreRef]int{},
-		userSeen:      map[string]bool{},
-		sigSeen:       map[sched.CoreRef]bool{},
-		nominated:     map[sched.CoreRef]bool{},
+		cfg:         cfg,
+		rng:         xrand.New(cfg.Seed),
+		parallelism: runtime.GOMAXPROCS(0),
+		point:       fault.Nominal,
+		server:      report.NewServer(cfg.CoresPerMachine),
+		cluster:     sched.NewCluster(),
+		allWork:     corpus.All(),
+		userSeen:    map[string]bool{},
+		sigSeen:     map[sched.CoreRef]bool{},
+		nominated:   map[sched.CoreRef]bool{},
 	}
 	f.manager = quarantine.NewManager(f.cluster, cfg.Policy)
 	popRNG := f.rng.ForkString("population")
@@ -478,15 +478,13 @@ func newFleet(cfg Config) *Fleet {
 	for i := 0; i < cfg.Machines; i++ {
 		id := fmt.Sprintf("m%05d", i)
 		sku := pickSKU(skus, fracTotal, popRNG)
-		m := &Machine{
-			ID: id, SKU: sku.Name,
-			Defective: map[int]*fault.Core{}, quarantined: map[int]bool{},
+		sm, err := f.cluster.AddMachine(id, cfg.CoresPerMachine)
+		if err != nil {
+			panic(err)
 		}
+		m := &Machine{ID: id, SKU: sku.Name, Defective: map[int]*fault.Core{}, cluster: sm}
 		if sku.PreAgeDays > 0 {
 			m.install = -simtime.Time(popRNG.Float64()*sku.PreAgeDays) * simtime.Day
-		}
-		if _, err := f.cluster.AddMachine(id, cfg.CoresPerMachine); err != nil {
-			panic(err)
 		}
 		// Expected defective cores per machine; Poisson-thin across cores.
 		mult := sku.DefectMultiplier
@@ -563,12 +561,6 @@ func (f *Fleet) Cluster() *sched.Cluster { return f.cluster }
 
 // Manager returns the quarantine manager.
 func (f *Fleet) Manager() *quarantine.Manager { return f.manager }
-
-// QuarantineDay returns the day a core was isolated, if it was.
-func (f *Fleet) QuarantineDay(ref sched.CoreRef) (int, bool) {
-	d, ok := f.quarantineDay[ref]
-	return d, ok
-}
 
 // patternFraction returns the fraction of uniform operands matching the
 // defect's pattern gate.

@@ -173,17 +173,6 @@ func TestQuarantineStopsSignals(t *testing.T) {
 	}
 }
 
-func TestQuarantineDayRecorded(t *testing.T) {
-	r := newTestRunner(t, testConfig())
-	f := r.Fleet()
-	r.Run(60)
-	for _, r := range f.Manager().Records() {
-		if _, ok := f.QuarantineDay(r.Ref); !ok {
-			t.Fatalf("no quarantine day for %v", r.Ref)
-		}
-	}
-}
-
 func TestFig1AutoRateRises(t *testing.T) {
 	// Fig. 1's headline shape: the automated detector's reported rate
 	// gradually increases (corpus growth + aging onset), while the

@@ -18,12 +18,10 @@ package fleet
 import (
 	"fmt"
 
-	"repro/internal/detect"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/kvdb"
 	"repro/internal/sched"
-	"repro/internal/simtime"
 	"repro/internal/xrand"
 )
 
@@ -127,14 +125,11 @@ func (f *Fleet) buildKVStores() {
 		}
 		ks.tdb = kvdb.NewTolerant(db, kvdb.TolerantConfig{
 			MaxRetries: kcfg.MaxRetries,
-			// Signals are buffered and batch-merged by the serial phase.
-			Sink: func(sig detect.Signal) error {
-				f.kvSignals = append(f.kvSignals, sig)
-				return nil
-			},
+			// Signals are buffered and merged at the end of the phase.
+			Sink:    f.bufferSignal,
 			Health:  f.kvHealth,
 			Metrics: f.obs,
-			Now:     func() simtime.Time { return f.kvNow },
+			Now:     f.today,
 		})
 		// Seed the rows. Defective replicas may store corrupt bytes right
 		// away — exactly the latent state tolerant reads must survive.
@@ -166,18 +161,15 @@ func (f *Fleet) kvHealthySlot(store, replica int) (string, int) {
 }
 
 // kvHealth is the store's HealthFunc: a replica is deprioritized when its
-// core is quarantined (or its machine drained), or when the tracker's
-// current nominations score it above the avoid threshold (cached per day
-// in kvAvoid). Only ever called from the serial kvdb phase.
+// core is out of service or still holds an isolation record, or when the
+// tracker's current nominations score it above the avoid threshold
+// (cached per day in kvAvoid). Only ever called from the serial kvdb
+// phase.
 func (f *Fleet) kvHealth(machine string, core int) bool {
-	if machine == "" || core < 0 || machine[0] != 'm' {
+	if machine == "" || core < 0 || core >= f.cfg.CoresPerMachine || machine[0] != 'm' {
 		return false
 	}
-	m := f.machineByID(machine)
-	if m == nil {
-		return false
-	}
-	if m.drained || m.quarantined[core] {
+	if f.machineByID(machine).outOfService(core) {
 		return true
 	}
 	ref := sched.CoreRef{Machine: machine, Core: core}
@@ -189,9 +181,8 @@ func (f *Fleet) kvHealth(machine string, core int) bool {
 
 // runKVDB is phase 3b: the day's store workload. Serial — every fork is
 // ordered, every signal lands in the batch buffer in store order.
-func (f *Fleet) runKVDB(dayRNG *xrand.RNG, now simtime.Time, st *DayStats) {
+func (f *Fleet) runKVDB(dayRNG *xrand.RNG, st *DayStats) {
 	kcfg := f.cfg.KVDB.withDefaults()
-	f.kvNow = now
 
 	// Refresh the pre-quarantine avoidance cache from today's nominations.
 	f.kvAvoid = map[sched.CoreRef]bool{}
@@ -222,15 +213,7 @@ func (f *Fleet) runKVDB(dayRNG *xrand.RNG, now simtime.Time, st *DayStats) {
 		st.KVErrors += cur.Errors - ks.last.Errors
 		ks.last = cur
 	}
-
-	// Merge the buffered detection signals exactly like site signals:
-	// batch-ingested in deterministic order, traced, counted.
-	if len(f.kvSignals) > 0 {
-		st.AutoReports += len(f.kvSignals)
-		f.server.IngestBatch(f.kvSignals)
-		f.traceFirstSignals(f.kvSignals)
-		f.kvSignals = f.kvSignals[:0]
-	}
+	f.signals = f.merge(f.signals, &st.AutoReports)
 }
 
 // kvRebindRepaired moves replicas off repaired defect sites onto fresh

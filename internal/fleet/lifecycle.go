@@ -15,13 +15,11 @@ package fleet
 // at-any-parallelism contract.
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/remediate"
-	"repro/internal/sched"
 )
 
 // LifecycleConfig enables the machine-lifecycle control plane inside the
@@ -106,16 +104,14 @@ func (f *Fleet) buildLifecycle() {
 // panic in newFleet, like every other invalid fleet configuration.
 func (f *Fleet) buildPolicy() {
 	r := f.cfg.Remediate
-	switch r.Policy {
-	case "", "default":
-		f.policy = remediate.DefaultPolicy{}
-	case "escalating":
-		f.policy = remediate.EscalatingPolicy{ScoreThreshold: r.ScoreThreshold, MaxRetests: r.MaxRetests}
-	case "swap":
-		f.policy = remediate.SwapPolicy{}
-	default:
-		panic(fmt.Sprintf("fleet: unknown remediation policy %q", r.Policy))
+	p, err := remediate.ByName(r.Policy)
+	if err != nil {
+		panic("fleet: " + err.Error())
 	}
+	if _, ok := p.(remediate.EscalatingPolicy); ok {
+		p = remediate.EscalatingPolicy{ScoreThreshold: r.ScoreThreshold, MaxRetests: r.MaxRetests}
+	}
+	f.policy = p
 }
 
 // Lifecycle returns the machine-lifecycle ledger (nil when disabled).
@@ -158,11 +154,7 @@ func (f *Fleet) lifeObserve(t lifecycle.Transition) {
 		}
 	}
 	if f.lifeNotify != nil {
-		f.lifeNotify.Notify(remediate.Event{
-			Seq: t.Seq, Day: t.Day, Machine: t.Machine,
-			From: t.From, To: t.To, Kind: t.Kind, Pool: t.Pool,
-			Score: t.Score, Reason: t.Reason, Actor: t.Actor,
-		})
+		f.lifeNotify.Notify(remediate.EventOf(t))
 	}
 }
 
@@ -282,32 +274,22 @@ func (f *Fleet) completeAdmitted(day int) {
 		if !ok {
 			continue
 		}
-		m := f.machineByID(id)
-		if m == nil {
-			continue
-		}
 		switch rec.State {
 		case lifecycle.Cordoned:
 			// An admitted cordon intent: stop placements, keep running tasks.
 			f.cluster.Cordon(id)
 		case lifecycle.Drained, lifecycle.Removed:
-			if m.drained {
+			if f.machineByID(id).cluster.Drained() {
 				continue
 			}
 			f.cluster.Drain(id)
-			m.drained = true
 			f.server.Forget(id)
 			if rec.State == lifecycle.Removed {
 				// Admission tripped the recidivist escalation: the machine is
 				// permanently decommissioned — no repair ticket.
 				continue
 			}
-			if f.cfg.RepairAfterDays > 0 {
-				f.poolTicketConsume(id)
-				f.repairQueue = append(f.repairQueue, repairTicket{
-					machine: id, core: -1, dueDay: day + f.cfg.RepairAfterDays,
-				})
-			}
+			f.scheduleRepair(id, -1, day)
 		}
 	}
 }
@@ -385,28 +367,4 @@ func (f *Fleet) remediateGate(machine string, score float64, day int) (proceed, 
 		return false, false
 	}
 	return true, false
-}
-
-// completeSwap finishes a swap-policy conviction: the machine's defective
-// silicon is replaced from spares the same day — no repair-queue wait.
-// Mirrors the whole-machine branch of processRepairs.
-func (f *Fleet) completeSwap(machine string, day int, st *DayStats) {
-	m := f.machineByID(machine)
-	for _, idx := range sortedDefectiveCores(m) {
-		f.retireDefect(machine, idx)
-		ref := sched.CoreRef{Machine: machine, Core: idx}
-		if f.manager.Isolated(ref) {
-			f.traceRelease(ref, day)
-		}
-		f.manager.Release(ref)
-		f.traceRepair(machine, idx, day)
-	}
-	m.drained = false
-	if err := f.cluster.Undrain(machine); err == nil {
-		f.Repairs++
-		st.RepairsDone++
-		f.traceRepair(machine, -1, day)
-	}
-	f.lifeRepairComplete(machine, day)
-	f.lifePending.swaps++
 }

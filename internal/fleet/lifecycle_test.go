@@ -57,9 +57,8 @@ func TestLifecycleLedgerFollowsConvictions(t *testing.T) {
 		}
 		switch rec.State {
 		case lifecycle.Removed:
-			m := f.machineByID(rec.Machine)
-			if !m.drained {
-				t.Fatalf("removed machine %s is not drained in the simulator", rec.Machine)
+			if !f.Cluster().Machine(rec.Machine).Drained() {
+				t.Fatalf("removed machine %s is not drained in the cluster", rec.Machine)
 			}
 			for _, tk := range f.repairQueue {
 				if tk.machine == rec.Machine {
@@ -67,7 +66,7 @@ func TestLifecycleLedgerFollowsConvictions(t *testing.T) {
 				}
 			}
 		case lifecycle.Drained, lifecycle.Draining:
-			if !f.machineByID(rec.Machine).drained {
+			if !f.Cluster().Machine(rec.Machine).Drained() {
 				t.Fatalf("ledger says %s is %s but the machine serves work",
 					rec.Machine, rec.State)
 			}
@@ -123,7 +122,7 @@ func TestLifecycleRecidivistRemovedPermanently(t *testing.T) {
 	if rec.LastReason == "" {
 		t.Fatal("removal has no reason")
 	}
-	if !f.machineByID(id).drained {
+	if !f.Cluster().Machine(id).Drained() {
 		t.Fatal("removed machine not drained")
 	}
 	// Long after RepairAfterDays, the removal must hold: no ticket ever
@@ -132,7 +131,7 @@ func TestLifecycleRecidivistRemovedPermanently(t *testing.T) {
 	if rec, _ := f.Lifecycle().State(id); rec.State != lifecycle.Removed {
 		t.Fatalf("removed machine resurrected to %s", rec.State)
 	}
-	if !f.machineByID(id).drained {
+	if !f.Cluster().Machine(id).Drained() {
 		t.Fatal("removed machine returned to service")
 	}
 }

@@ -18,9 +18,7 @@ package fleet
 import (
 	"fmt"
 
-	"repro/internal/detect"
 	"repro/internal/sched"
-	"repro/internal/simtime"
 	"repro/internal/taskrun"
 	"repro/internal/xrand"
 )
@@ -65,13 +63,10 @@ func (f *Fleet) buildTaskRun() {
 		MaxRetries:          tcfg.MaxRetries,
 		DivergenceThreshold: tcfg.DivergenceThreshold,
 		Paranoid:            tcfg.Paranoid,
-		// Signals are buffered and batch-merged by the serial phase.
-		Sink: func(sig detect.Signal) error {
-			f.trSignals = append(f.trSignals, sig)
-			return nil
-		},
+		// Signals are buffered and merged at the end of the phase.
+		Sink:    f.bufferSignal,
 		Metrics: f.obs,
-		Now:     func() simtime.Time { return f.trNow },
+		Now:     f.today,
 	})
 	if err != nil {
 		panic(err)
@@ -86,11 +81,7 @@ func (f *Fleet) taskrunStart(t int) *sched.CoreRef {
 	n := len(f.defects)
 	for probe := 0; probe < n; probe++ {
 		site := f.defects[(t+probe)%n]
-		if site.Repaired {
-			continue
-		}
-		m := f.machineByID(site.Machine)
-		if m == nil || m.drained || m.quarantined[site.Core] {
+		if site.Repaired || f.machineByID(site.Machine).outOfService(site.Core) {
 			continue
 		}
 		return &sched.CoreRef{Machine: site.Machine, Core: site.Core}
@@ -101,9 +92,8 @@ func (f *Fleet) taskrunStart(t int) *sched.CoreRef {
 // runTaskRun is phase 3c: the day's supervised batch workload. Serial —
 // every fork is ordered and every signal lands in the buffer in task
 // order.
-func (f *Fleet) runTaskRun(dayRNG *xrand.RNG, now simtime.Time, st *DayStats) {
+func (f *Fleet) runTaskRun(dayRNG *xrand.RNG, st *DayStats) {
 	tcfg := f.cfg.TaskRun.withDefaults()
-	f.trNow = now
 	before := f.taskSup.Stats()
 	for t := 0; t < tcfg.Tasks; t++ {
 		id := fmt.Sprintf("tr-d%04d-t%03d", st.Day, t)
@@ -122,13 +112,5 @@ func (f *Fleet) runTaskRun(dayRNG *xrand.RNG, now simtime.Time, st *DayStats) {
 	st.TRMigrations += after.Migrations - before.Migrations
 	st.TRRestores += after.Restores - before.Restores
 	st.TRSignals += after.SignalsSent - before.SignalsSent
-
-	// Merge the buffered detection signals exactly like site signals:
-	// batch-ingested in deterministic order, traced, counted.
-	if len(f.trSignals) > 0 {
-		st.AutoReports += len(f.trSignals)
-		f.server.IngestBatch(f.trSignals)
-		f.traceFirstSignals(f.trSignals)
-		f.trSignals = f.trSignals[:0]
-	}
+	f.signals = f.merge(f.signals, &st.AutoReports)
 }

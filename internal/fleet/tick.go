@@ -28,12 +28,17 @@ import (
 //	2 parallel per site: analytic production draws + online screening
 //	           against the real corpus, buffered into siteResult
 //	3 serial   single-writer merge of site buffers, in site order
+//	3b/3c      optional kvdb and taskrun workloads (serial)
 //	4 serial   fleet-wide software-bug noise from the day stream
 //	5 mixed    human investigations: dedup serially, confess in
 //	           parallel, tally the triage ledger serially
 //	6 mixed    suspect processing: precompute confessions in parallel,
 //	           apply quarantine decisions serially
 //	7 serial   repairs
+//
+// Phases 3 to 5 produce signals, and each hands them to merge, the one
+// way into the tracker. Whether a core is in service is read from the
+// cluster (Machine.outOfService), which quarantine and drains update.
 //
 // screenCorpusSize returns how many corpus workloads the automated
 // screener has unlocked by the given day (§6's growing test corpus).
@@ -132,7 +137,7 @@ func (f *Fleet) Step() DayStats {
 		// Repaired sites keep their ledger entry but the silicon is gone:
 		// without this skip a repaired core's ghost kept corrupting (and
 		// spamming signals a healthy-core confession could never confirm).
-		if site.Repaired || m.drained || m.quarantined[site.Core] {
+		if site.Repaired || m.outOfService(site.Core) {
 			continue
 		}
 		core := site.Site
@@ -179,9 +184,7 @@ func (f *Fleet) Step() DayStats {
 			st.ByOutcome[o] += r.outcomes[o]
 		}
 		st.ScreenDetections += r.screenFails
-		st.AutoReports += len(r.signals)
-		f.server.IngestBatch(r.signals)
-		f.traceFirstSignals(r.signals)
+		r.signals = f.merge(r.signals, &st.AutoReports)
 		invs = append(invs, r.invs...)
 	}
 	pc.mark("merge")
@@ -191,7 +194,7 @@ func (f *Fleet) Step() DayStats {
 	// before suspect processing so today's serving signals can nominate
 	// today. Consumes randomness only when enabled.
 	if len(f.kvStores) > 0 {
-		f.runKVDB(dayRNG, now, &st)
+		f.runKVDB(dayRNG, &st)
 		pc.mark("kvdb")
 	}
 
@@ -200,7 +203,7 @@ func (f *Fleet) Step() DayStats {
 	// yesterday's quarantines, before suspect processing so today's
 	// escalations can nominate today.
 	if f.taskSup != nil {
-		f.runTaskRun(dayRNG, now, &st)
+		f.runTaskRun(dayRNG, &st)
 		pc.mark("taskrun")
 	}
 
@@ -210,23 +213,21 @@ func (f *Fleet) Step() DayStats {
 	noise := dayRNG.Poisson(noiseLambda)
 	for i := 0; i < noise; i++ {
 		m := f.machines[dayRNG.Intn(len(f.machines))]
-		if m.drained {
+		if m.cluster.Drained() {
 			continue
 		}
 		coreIdx := dayRNG.Intn(f.cfg.CoresPerMachine)
-		sig := detect.Signal{
+		f.signals = append(f.signals, detect.Signal{
 			Machine: m.ID, Core: coreIdx, Kind: detect.SigCrash,
 			Time: now, Detail: "software bug",
-		}
-		f.server.Ingest(sig)
-		f.traceFirstSignal(sig)
-		st.AutoReports++
+		})
 		// Some bug-noise also triggers human investigation — the false
 		// accusations in §6's triage ledger.
 		if dayRNG.Bernoulli(f.cfg.UserReportFraction) {
 			invs = append(invs, invRequest{machine: m.ID, core: coreIdx})
 		}
 	}
+	f.signals = f.merge(f.signals, &st.AutoReports)
 	pc.mark("noise")
 
 	// Phase 5: human triage — confession screens run in parallel, the
@@ -387,12 +388,9 @@ type confessJob struct {
 func (f *Fleet) processInvestigations(invs []invRequest, now simtime.Time, dayRNG *xrand.RNG, st *DayStats) {
 	var jobs []confessJob
 	for _, iv := range invs {
-		sig := detect.Signal{
+		f.signals = append(f.signals, detect.Signal{
 			Machine: iv.machine, Core: iv.core, Kind: detect.SigUserReport, Time: now,
-		}
-		f.server.Ingest(sig)
-		f.traceFirstSignal(sig)
-		st.UserReports++
+		})
 		if f.userSeen[iv.machine] {
 			continue
 		}
@@ -407,6 +405,7 @@ func (f *Fleet) processInvestigations(invs []invRequest, now simtime.Time, dayRN
 			rng:            dayRNG.ForkString("confess:" + ref.String()),
 		})
 	}
+	f.signals = f.merge(f.signals, &st.UserReports)
 	cfg := f.confessionConfig()
 	// The cores are distinct (one investigation per machine per run), so
 	// the screens shard cleanly.
@@ -531,10 +530,7 @@ func (f *Fleet) processSuspects(now simtime.Time, dayRNG *xrand.RNG, st *DayStat
 		}
 		st.NewQuarantines++
 		f.traceQuarantine(s.Machine, s.Core, rec.Mode.String(), now)
-		f.quarantineDay[ref] = f.day - 1
-		m := f.machineByID(s.Machine)
 		if rec.Mode == quarantine.MachineDrain {
-			m.drained = true
 			f.server.Forget(s.Machine)
 			// A recidivist conviction escalates to permanent removal in the
 			// lifecycle ledger: the machine stays drained, no repair ticket.
@@ -542,25 +538,32 @@ func (f *Fleet) processSuspects(now simtime.Time, dayRNG *xrand.RNG, st *DayStat
 			if swapWanted && !permanent {
 				// Swap policy: replace the silicon from spares the same day
 				// instead of holding capacity through repair turnaround.
-				f.completeSwap(s.Machine, f.day-1, st)
-			} else if f.cfg.RepairAfterDays > 0 && !permanent {
-				f.poolTicketConsume(s.Machine)
-				f.repairQueue = append(f.repairQueue, repairTicket{
-					machine: s.Machine, core: -1,
-					dueDay: f.day - 1 + f.cfg.RepairAfterDays,
-				})
+				f.replaceSilicon(s.Machine, f.day-1, st)
+				f.lifePending.swaps++
+			} else if !permanent {
+				f.scheduleRepair(s.Machine, -1, f.day-1)
 			}
 		} else {
-			m.quarantined[s.Core] = true
 			f.server.ForgetCore(s.Machine, s.Core)
-			if f.cfg.RepairAfterDays > 0 {
-				f.repairQueue = append(f.repairQueue, repairTicket{
-					machine: s.Machine, core: s.Core,
-					dueDay: f.day - 1 + f.cfg.RepairAfterDays,
-				})
-			}
+			f.scheduleRepair(s.Machine, s.Core, f.day-1)
 		}
 	}
+}
+
+// scheduleRepair queues the RMA ticket that returns machine's core (-1:
+// the whole machine) to service RepairAfterDays after day; a whole-machine
+// ticket spends one of its pool's repair tickets. No-op when repair is
+// disabled.
+func (f *Fleet) scheduleRepair(machine string, core, day int) {
+	if f.cfg.RepairAfterDays <= 0 {
+		return
+	}
+	if core < 0 {
+		f.poolTicketConsume(machine)
+	}
+	f.repairQueue = append(f.repairQueue, repairTicket{
+		machine: machine, core: core, dueDay: day + f.cfg.RepairAfterDays,
+	})
 }
 
 // processRepairs completes due repair tickets: the defective silicon is
@@ -576,38 +579,13 @@ func (f *Fleet) processRepairs(day int, st *DayStats) {
 			keep = append(keep, tk)
 			continue
 		}
-		m := f.machineByID(tk.machine)
 		if tk.core < 0 {
-			// Whole-machine drain: replace every defective core and
-			// undrain. Defective-core indices are visited in ascending
-			// order so the trace (and the manager ledger it mirrors) does
-			// not depend on map iteration.
-			for _, idx := range sortedDefectiveCores(m) {
-				f.retireDefect(tk.machine, idx)
-				ref := sched.CoreRef{Machine: tk.machine, Core: idx}
-				if f.manager.Isolated(ref) {
-					f.traceRelease(ref, day)
-				}
-				f.manager.Release(ref)
-				f.traceRepair(tk.machine, idx, day)
-			}
-			m.drained = false
-			if err := f.cluster.Undrain(tk.machine); err == nil {
-				f.Repairs++
-				st.RepairsDone++
-				f.traceRepair(tk.machine, -1, day)
-			}
-			f.lifeRepairComplete(tk.machine, day)
+			f.replaceSilicon(tk.machine, day, st)
 			f.poolTicketRestore(tk.machine)
 			continue
 		}
-		f.retireDefect(tk.machine, tk.core)
-		delete(m.quarantined, tk.core)
 		ref := sched.CoreRef{Machine: tk.machine, Core: tk.core}
-		if f.manager.Isolated(ref) {
-			f.traceRelease(ref, day)
-		}
-		f.manager.Release(ref)
+		f.releaseCore(ref, day)
 		if _, err := f.cluster.SetCoreState(ref, sched.CoreHealthy, nil); err == nil {
 			f.Repairs++
 			st.RepairsDone++
@@ -617,6 +595,56 @@ func (f *Fleet) processRepairs(day int, st *DayStats) {
 	}
 	f.repairQueue = keep
 }
+
+// replaceSilicon returns a drained machine to service on new silicon —
+// the whole-machine repair of the RMA loop and the swap policy's
+// same-day swap alike. Defective cores are visited in ascending order so
+// the trace (and the manager ledger it mirrors) does not depend on map
+// iteration.
+func (f *Fleet) replaceSilicon(machine string, day int, st *DayStats) {
+	for _, idx := range sortedDefectiveCores(f.machineByID(machine)) {
+		f.releaseCore(sched.CoreRef{Machine: machine, Core: idx}, day)
+		f.traceRepair(machine, idx, day)
+	}
+	if err := f.cluster.Undrain(machine); err == nil {
+		f.Repairs++
+		st.RepairsDone++
+		f.traceRepair(machine, -1, day)
+	}
+	f.lifeRepairComplete(machine, day)
+}
+
+// releaseCore retires the defect at ref and drops its isolation record.
+func (f *Fleet) releaseCore(ref sched.CoreRef, day int) {
+	f.retireDefect(ref.Machine, ref.Core)
+	if f.manager.Isolated(ref) {
+		f.traceRelease(ref, day)
+	}
+	f.manager.Release(ref)
+}
+
+// merge is the day's one way into the tracker: every phase hands the
+// signals it produced here, in its own deterministic order. The tracker
+// ingests them as one batch, count (AutoReports or UserReports) tallies
+// them, and each core's first signal enters the lifecycle trace. It
+// returns sigs emptied, for the caller to reuse as its buffer.
+func (f *Fleet) merge(sigs []detect.Signal, count *int) []detect.Signal {
+	*count += len(sigs)
+	f.server.IngestBatch(sigs)
+	f.traceFirstSignals(sigs)
+	return sigs[:0]
+}
+
+// bufferSignal is the kvdb and taskrun phases' signal sink: it holds each
+// signal for the phase's merge.
+func (f *Fleet) bufferSignal(sig detect.Signal) error {
+	f.signals = append(f.signals, sig)
+	return nil
+}
+
+// today is the simulated time of the day being stepped, the timestamp
+// the kvdb and taskrun phases put on their signals.
+func (f *Fleet) today() simtime.Time { return simtime.Time(f.day-1) * simtime.Day }
 
 // sortedDefectiveCores returns the machine's defective core indices in
 // ascending order.

@@ -52,31 +52,24 @@ func (f *Fleet) traceDefects(day int, now simtime.Time) {
 	}
 }
 
-// traceFirstSignal emits the first core-attributed signal seen for a
-// core. Machine-level (core == -1) signals never open a core's stream.
-func (f *Fleet) traceFirstSignal(sig detect.Signal) {
-	if f.trace == nil || sig.Core < 0 {
-		return
-	}
-	ref := sched.CoreRef{Machine: sig.Machine, Core: sig.Core}
-	if f.sigSeen[ref] {
-		return
-	}
-	f.sigSeen[ref] = true
-	f.trace.Emit(obs.TraceEvent{
-		Day: f.day - 1, TimeSec: float64(sig.Time),
-		Machine: sig.Machine, Core: sig.Core,
-		Event: obs.EventFirstSignal, Kind: sig.Kind.String(),
-	})
-}
-
-// traceFirstSignals folds a merged signal buffer through traceFirstSignal.
+// traceFirstSignals emits the first core-attributed signal seen for each
+// core in a merged buffer. Machine-level (core == -1) signals never open a
+// core's stream.
 func (f *Fleet) traceFirstSignals(sigs []detect.Signal) {
 	if f.trace == nil {
 		return
 	}
-	for _, s := range sigs {
-		f.traceFirstSignal(s)
+	for _, sig := range sigs {
+		ref := sched.CoreRef{Machine: sig.Machine, Core: sig.Core}
+		if sig.Core < 0 || f.sigSeen[ref] {
+			continue
+		}
+		f.sigSeen[ref] = true
+		f.trace.Emit(obs.TraceEvent{
+			Day: f.day - 1, TimeSec: float64(sig.Time),
+			Machine: sig.Machine, Core: sig.Core,
+			Event: obs.EventFirstSignal, Kind: sig.Kind.String(),
+		})
 	}
 }
 

@@ -69,14 +69,11 @@ func Detection(f *fleet.Fleet, runDays int) DetectionReport {
 			continue
 		}
 		rep.TruePositive++
-		if day, ok := f.QuarantineDay(rec.Ref); ok {
-			activeDay := site.FirstActive.Days()
-			latency := float64(day) - activeDay
-			if latency < 0 {
-				latency = 0
-			}
-			rep.LatencyDays = append(rep.LatencyDays, latency)
+		latency := rec.When.Days() - site.FirstActive.Days()
+		if latency < 0 {
+			latency = 0
 		}
+		rep.LatencyDays = append(rep.LatencyDays, latency)
 	}
 	return rep
 }

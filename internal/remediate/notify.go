@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/lifecycle"
 )
 
 // Event is one notified control-plane occurrence.
@@ -35,6 +36,15 @@ type Event struct {
 	Score  float64 `json:"score,omitempty"`
 	Reason string  `json:"reason,omitempty"`
 	Actor  string  `json:"actor,omitempty"`
+}
+
+// EventOf translates a lifecycle WAL record into the event operators see.
+func EventOf(t lifecycle.Transition) Event {
+	return Event{
+		Seq: t.Seq, Day: t.Day, Machine: t.Machine,
+		From: t.From, To: t.To, Kind: t.Kind, Pool: t.Pool,
+		Score: t.Score, Reason: t.Reason, Actor: t.Actor,
+	}
 }
 
 // Notifier receives control-plane events. Notify must tolerate being

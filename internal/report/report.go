@@ -470,6 +470,12 @@ const (
 // must not have to the thing it is reporting about.
 var defaultHTTPClient = &http.Client{Timeout: defaultClientTimeout}
 
+// ErrShed is wrapped by a call whose last attempt the server refused with
+// backpressure (429 or 503): the server was up and shed the load. A call
+// that last failed in transport (connection refused, reset, timeout)
+// does not wrap it.
+var ErrShed = errors.New("shed by server")
+
 // Client talks to a report server over HTTP. Transport-level failures
 // (connection refused, resets, timeouts) and explicit backpressure
 // responses (429, 503) are retried with jittered exponential backoff up
@@ -598,7 +604,7 @@ func (c *Client) do(ctx context.Context, send func(context.Context) (*http.Respo
 			serverHint = retryAfter(resp)
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			lastErr = fmt.Errorf("server returned %s", resp.Status)
+			lastErr = fmt.Errorf("%w: server returned %s", ErrShed, resp.Status)
 			continue
 		}
 		return resp, nil
@@ -663,7 +669,7 @@ func (c *Client) ReportBatch(batch Batch) (BatchAck, error) {
 
 // ReportBatchContext submits a batch of reports, honoring ctx. A shed
 // (429) response is retried per the client's policy; if every attempt is
-// shed the returned error wraps the last status.
+// shed the returned error wraps ErrShed and the last status.
 func (c *Client) ReportBatchContext(ctx context.Context, batch Batch) (BatchAck, error) {
 	var ack BatchAck
 	err := c.call(ctx, "reports", http.MethodPost, "/v1/reports", batch, &ack,

@@ -36,6 +36,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/lifecycle"
 	"repro/internal/quarantine"
+	"repro/internal/remediate"
 	"repro/internal/screen"
 )
 
@@ -337,13 +338,14 @@ func (s *SKUDef) validate(d *decoder, m *node, _ string) {
 	}
 }
 
-var remediationPolicies = []string{"default", "escalating", "swap"}
-
 func (lc *LifecycleDef) validate(d *decoder, m *node, path string) {
 	d.nonNegative(m, path, "max_repairs", lc.MaxRepairs)
 	d.nonNegative(m, path, "probation_days", lc.ProbationDays)
-	if d.given(m, "policy") && !slices.Contains(remediationPolicies, lc.Policy) {
-		d.errf(m.keyLine("policy"), "fleet.lifecycle.policy %q unknown (default, escalating, swap)", lc.Policy)
+	if d.given(m, "policy") {
+		// An explicit empty name is a typo, not a request for the default.
+		if _, err := remediate.ByName(lc.Policy); err != nil || lc.Policy == "" {
+			d.errf(m.keyLine("policy"), "fleet.lifecycle.policy %q unknown (default, escalating, swap)", lc.Policy)
+		}
 	}
 	if lc.ScoreThreshold < 0 {
 		d.errf(m.keyLine("score_threshold"), "fleet.lifecycle.score_threshold must be >= 0")
