@@ -26,15 +26,8 @@ var keptUnreferenced = map[string]string{
 	"internal/cpu.FaultCoverage":                "§4 coverage residue behind README's 98% adder claim; TestFaultCoverageSubstantialButIncomplete",
 	"internal/detect.ShardedTracker.Reports":    "mirrors Tracker.Reports for the sharded-vs-single equivalence tests",
 	"internal/ecc.Mix64Golden":                  "native reference the ecc and selfcheck tests compare the engine-routed Mix64 against",
-	"internal/engine.Engine.And64":              "part of the engine op set whose semantics the engine tests pin",
-	"internal/engine.Engine.Rotl64":             "part of the engine op set whose semantics the engine tests pin",
-	"internal/forensics.ModeDB.Count":           "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
-	"internal/forensics.ModeDB.Known":           "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
-	"internal/forensics.ModeDB.Report":          "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
-	"internal/forensics.NewRing":                "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
-	"internal/forensics.Ring.ByOpClass":         "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
-	"internal/forensics.Ring.Hook":              "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
-	"internal/forensics.Ring.Total":             "§9 forensic-evidence API (DESIGN.md §3 forensics row); covered by the Ring and ModeDB tests",
+	"internal/forensics.ModeDB.Count":           "§9 defect-mode API (DESIGN.md §3 forensics row); TestModeDBNovelty reads it back",
+	"internal/forensics.ModeDB.Known":           "§9 defect-mode API (DESIGN.md §3 forensics row); TestModeDBNovelty reads it back",
 	"internal/isa.Disassemble":                  "assembler round-trip half; FuzzAssemble and the isa tests use it",
 	"internal/isa.Mnemonics":                    "assembler round-trip half; FuzzAssemble and the isa tests use it",
 	"internal/kvdb.DB.GetCompared":              "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
@@ -45,15 +38,9 @@ var keptUnreferenced = map[string]string{
 	"internal/kvdb.DB.Replicas":                 "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
 	"internal/kvdb.TolerantDB.RowSuspect":       "suspect-row view of the tolerant store (DESIGN.md §13); the tolerant tests assert it",
 	"internal/kvdb.TolerantDB.SuspectRows":      "suspect-row view of the tolerant store (DESIGN.md §13); the tolerant tests assert it",
-	"internal/lifecycle.Manager.AdmitDeferred":  "deferred-queue verb the lifecycle pool tests drive",
-	"internal/lifecycle.Manager.CancelDeferred": "deferred-queue verb the lifecycle pool tests drive",
 	"internal/lifecycle.WAL.Seq":                "the pool tests read it to prove an idempotent verb appends no record",
-	"internal/metrics.AppVisibility":            "§4 metric (DESIGN.md §3 metrics row) with its own metrics tests",
-	"internal/metrics.OnsetDistributionDays":    "§4 metric (DESIGN.md §3 metrics row) with its own metrics tests",
 	"internal/mitigate.Executor.TMRWithReplay":  "§7 replay-TMR sketch cited by EXPERIMENTS.md E9 and DESIGN.md §3; four replayexec tests",
-	"internal/obs.Gauge.Add":                    "gauge half of the registry API; the obs tests pin its lock-free add",
 	"internal/obs.ReadJSONL":                    "reader half of the trace format; metrics.TestDetectionFromTraceMatchesGroundTruth parses traces with it",
-	"internal/obs.ShardedCounter.Inc":           "keeps ShardedCounter a drop-in for Counter; the obs tests use it",
 	"internal/replay.Replayer.Position":         "tape introspection the replay tests check positions and labels with",
 	"internal/replay.Replayer.Remaining":        "tape introspection the replay tests check positions and labels with",
 	"internal/replay.Tape.Label":                "tape introspection the replay tests check positions and labels with",
@@ -63,26 +50,11 @@ var keptUnreferenced = map[string]string{
 	"internal/sched.Cluster.Machine":            "cluster introspection the sched, quarantine and lifecycle tests assert with",
 	"internal/sched.Cluster.PlacedTasks":        "cluster introspection the sched, quarantine and lifecycle tests assert with",
 	"internal/sched.Cluster.TaskOn":             "cluster introspection the sched, quarantine and lifecycle tests assert with",
-	"internal/sched.Machine.Cordoned":           "cluster introspection the sched, quarantine and lifecycle tests assert with",
-	"internal/sched.Machine.Cores":              "cluster introspection the sched, quarantine and lifecycle tests assert with",
-	"internal/screen.Online.Tick":               "online-screening step the screen tests drive",
 	"internal/selfcheck.Verifier.Compress":      "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
 	"internal/selfcheck.Verifier.Copy":          "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
 	"internal/selfcheck.Verifier.Decompress":    "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
 	"internal/selfcheck.Verifier.DecryptBlocks": "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
 	"internal/selfcheck.Verifier.Hash":          "§7 self-checking library (DESIGN.md §3 selfcheck row); each call has a selfcheck test",
-	"internal/simtime.Time.Hours":               "hour accessor beside Days for simulated durations; TestDurations pins it",
-	"internal/stats.ConcentrationPValue":        "statistics substrate pinned by the stats tests",
-	"internal/stats.Histogram.Add":              "statistics substrate pinned by the stats tests",
-	"internal/stats.Histogram.BinCenter":        "statistics substrate pinned by the stats tests",
-	"internal/stats.Histogram.Total":            "statistics substrate pinned by the stats tests",
-	"internal/stats.NewHistogram":               "statistics substrate pinned by the stats tests",
-	"internal/stats.PoissonTailAtLeast":         "statistics substrate pinned by the stats tests",
-	"internal/stats.Quantile":                   "statistics substrate pinned by the stats tests",
-	"internal/stats.Summary.Max":                "statistics substrate pinned by the stats tests",
-	"internal/stats.Summary.Min":                "statistics substrate pinned by the stats tests",
-	"internal/stats.Summary.N":                  "statistics substrate pinned by the stats tests",
-	"internal/stats.Summary.Sum":                "statistics substrate pinned by the stats tests",
 	"internal/stats.WilsonInterval":             "statistics substrate pinned by the stats tests",
 	"internal/storage.NewStore":                 "E10 GC-lost-live-data incident (internal/incidents, DESIGN.md §3)",
 	"internal/storage.Store.CorruptAtRest":      "E10 GC-lost-live-data incident (internal/incidents, DESIGN.md §3)",
@@ -94,7 +66,6 @@ var keptUnreferenced = map[string]string{
 	"internal/storage.Store.Scrub":              "E10 GC-lost-live-data incident (internal/incidents, DESIGN.md §3)",
 	"internal/taskrun.NewPool":                  "single-machine harness the taskrun tests and the root BenchmarkAblation* build supervisors on",
 	"internal/taskrun.Supervisor.Divergences":   "per-core divergence count the taskrun escalation test asserts",
-	"internal/xrand.RNG.Perm":                   "PRNG API pinned by TestPermIsPermutation and TestQuickPermValid",
 }
 
 // TestNoUnreferencedExports lists every exported func, type, var, const

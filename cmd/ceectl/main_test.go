@@ -40,24 +40,24 @@ func TestRunAgainstDaemon(t *testing.T) {
 		{"assign m2 -pool web", 0, "", ""},
 		{"assign m3 -pool web", 0, "", ""},
 		{"assign m4", 2, "", "usage: ceectl assign <machine> -pool <name>"},
-		{"drain m1 -reason maint -day 3", 0, "m1           drained    since_day=3    repairs=0 transitions=3 pool=web\n", ""},
+		{"drain m1 -reason maint -day 3", 0, "m1           drained    since_day=3    repairs=0 transitions=3 pool=web reason=\"maint\"\n", ""},
 		// m1 is out, so the pool is at its floor: this drain is parked.
 		{"drain m2 -reason maint -score 4", 0, "m2           healthy    since_day=0    repairs=0 transitions=0 pool=web deferred=true\n", ""},
 		{"cordon -reason ops m5", 0, "m5           cordoned   since_day=0    repairs=0 transitions=1 reason=\"ops\"\n", ""},
 		{"cordon", 2, "", "usage: ceectl cordon <machine>"},
 		{"list", 0, "" +
 			"MACHINE  STATE     POOL  SINCE  REPAIRS  REASON\n" +
-			"m1       drained   web   3      0        -\n" +
+			"m1       drained   web   3      0        maint\n" +
 			"m2       healthy   web   0      0        -\n" +
 			"m3       healthy   web   0      0        -\n" +
 			"m5       cordoned  -     0      0        ops\n", "4 machine(s)"},
 		{"list -state drained -pool web", 0, "" +
 			"MACHINE  STATE    POOL  SINCE  REPAIRS  REASON\n" +
-			"m1       drained  web   3      0        -\n", "1 machine(s)"},
+			"m1       drained  web   3      0        maint\n", "1 machine(s)"},
 		{"list -state bogus", 1, "", "400"},
 		{"list -bogus", 2, "", "flag provided but not defined"},
 		{"list -h", 0, "", "-state"},
-		{"show m1", 0, "m1           drained    since_day=3    repairs=0 transitions=3 pool=web\n", ""},
+		{"show m1", 0, "m1           drained    since_day=3    repairs=0 transitions=3 pool=web reason=\"maint\"\n", ""},
 		{"show", 2, "", "usage: ceectl show <machine>"},
 		{"show m99", 1, "", "404"},
 		{"pools", 0, "" +
@@ -71,7 +71,7 @@ func TestRunAgainstDaemon(t *testing.T) {
 		{"repair m1 -day 4", 0, "", ""},
 		{"release m1 -day 5 -reason fixed", 0, "", ""},
 		// m1 serves again, so the parked drain of m2 was admitted.
-		{"show m2", 0, "m2           drained    since_day=5    repairs=0 transitions=3 pool=web\n", ""},
+		{"show m2", 0, "m2           drained    since_day=5    repairs=0 transitions=3 pool=web reason=\"maint\"\n", ""},
 		{"remove m5 -reason recidivist", 0, "m5           removed    since_day=0    repairs=0 transitions=2 reason=\"recidivist\"\n", ""},
 		{"stats", 0, "total_reports=0 machines=0 suspects=0\n", ""},
 		{"flood -n 3 -machines 2 -batch 4", 0, "flood: sent=3 accepted=3 deferred=0 replaced=0 duplicate=0 shed=0 unreachable=0\n", ""},

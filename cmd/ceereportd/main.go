@@ -64,6 +64,9 @@
 // The server drains gracefully: SIGINT/SIGTERM stops accepting new
 // connections and waits (bounded) for in-flight requests before exiting,
 // then flushes the ingest queue.
+//
+// Exit status: 0 after a clean drain, 1 when the listener, the WAL or the
+// shutdown fails, 2 on usage errors.
 package main
 
 import (
@@ -71,7 +74,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -135,46 +140,67 @@ func notifyObserver(sinks []remediate.Notifier) func(lifecycle.Transition) {
 }
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	cores := flag.Int("cores-per-machine", 64, "cores per machine (concentration-test shape)")
-	walPath := flag.String("wal", "", "machine-lifecycle WAL path (empty disables the /v1/machines admin API)")
-	queue := flag.Int("queue", 0, "bounded ingest-queue capacity in signals (0 = synchronous ingest)")
-	maxRepairs := flag.Int("max-repairs", 2, "repair cycles before a recidivist machine is permanently removed")
-	pools := flag.String("pools", "", `capacity pools as name:floor pairs ("web:0.9,db:2"; <1 = serving fraction, >=1 = absolute count; needs -wal)`)
-	notifyLog := flag.Bool("notify-log", false, "log every lifecycle transition and drain-queue change to stderr (needs -wal)")
-	notifyWebhook := flag.String("notify-webhook", "", "POST every lifecycle event to this URL, with retry, behind an async queue (needs -wal)")
-	flag.Parse()
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], nil, sigc, os.Stderr))
+}
+
+// run serves the report API on ln (nil: listen on -addr) until stop
+// delivers a signal or the listener fails, then drains and returns the
+// exit status. Logs and -notify-log lines go to stderr.
+func run(args []string, ln net.Listener, stop <-chan os.Signal, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ceereportd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	cores := fs.Int("cores-per-machine", 64, "cores per machine (concentration-test shape)")
+	walPath := fs.String("wal", "", "machine-lifecycle WAL path (empty disables the /v1/machines admin API)")
+	queue := fs.Int("queue", 0, "bounded ingest-queue capacity in signals (0 = synchronous ingest)")
+	maxRepairs := fs.Int("max-repairs", 2, "repair cycles before a recidivist machine is permanently removed")
+	pools := fs.String("pools", "", `capacity pools as name:floor pairs ("web:0.9,db:2"; <1 = serving fraction, >=1 = absolute count; needs -wal)`)
+	notifyLog := fs.Bool("notify-log", false, "log every lifecycle transition and drain-queue change to stderr (needs -wal)")
+	notifyWebhook := fs.String("notify-webhook", "", "POST every lifecycle event to this URL, with retry, behind an async queue (needs -wal)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	logf := log.New(stderr, "", log.LstdFlags).Printf
 
 	if *cores <= 0 {
-		fmt.Fprintln(os.Stderr, "ceereportd: cores-per-machine must be positive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ceereportd: cores-per-machine must be positive")
+		return 2
 	}
 	poolCfgs, err := parsePools(*pools)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ceereportd: -pools: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ceereportd: -pools: %v\n", err)
+		return 2
 	}
 	if *walPath == "" && (len(poolCfgs) > 0 || *notifyLog || *notifyWebhook != "") {
-		fmt.Fprintln(os.Stderr, "ceereportd: -pools and -notify-* need the lifecycle ledger (-wal)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ceereportd: -pools and -notify-* need the lifecycle ledger (-wal)")
+		return 2
 	}
+	if ln == nil {
+		if ln, err = net.Listen("tcp", *addr); err != nil {
+			logf("ceereportd: %v", err)
+			return 1
+		}
+	}
+	defer ln.Close()
+
 	srv := report.NewServer(*cores)
 	var life *lifecycle.Manager
 	var notifiers []remediate.Notifier
 	if *walPath != "" {
-		var (
-			info lifecycle.RecoverInfo
-			err  error
-		)
+		var info lifecycle.RecoverInfo
 		life, info, err = lifecycle.Open(*walPath, lifecycle.Options{
 			MaxRepairs: *maxRepairs,
 			Metrics:    srv.Metrics(),
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ceereportd: lifecycle WAL: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "ceereportd: lifecycle WAL: %v\n", err)
+			return 1
 		}
-		log.Printf("ceereportd: lifecycle ledger recovered from %s (%d records, %d torn bytes truncated)",
+		logf("ceereportd: lifecycle ledger recovered from %s (%d records, %d torn bytes truncated)",
 			*walPath, info.Records, info.TornBytes)
 		for _, cfg := range poolCfgs {
 			life.DefinePool(cfg)
@@ -182,7 +208,7 @@ func main() {
 		// The observer is attached after Open so recovery replay does not
 		// re-notify events that were already delivered in a prior life.
 		if *notifyLog {
-			notifiers = append(notifiers, remediate.NewLogNotifier(os.Stderr))
+			notifiers = append(notifiers, remediate.NewLogNotifier(stderr))
 		}
 		if *notifyWebhook != "" {
 			// The webhook blocks on delivery and the observer runs under
@@ -198,7 +224,6 @@ func main() {
 		srv.EnableQueue(*queue)
 	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
@@ -207,44 +232,45 @@ func main() {
 	}
 
 	errc := make(chan error, 1)
-	go func() {
-		log.Printf("ceereportd listening on %s (machines shaped %d cores)", *addr, *cores)
-		errc <- httpSrv.ListenAndServe()
-	}()
+	logf("ceereportd listening on %s (machines shaped %d cores)", ln.Addr(), *cores)
+	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	status := 0
 	select {
 	case err := <-errc:
-		// Listener failed before any shutdown was requested.
-		log.Fatal(err)
-	case sig := <-sigc:
-		log.Printf("ceereportd: %v received, draining", sig)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("ceereportd: shutdown: %v", err)
-		os.Exit(1)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("ceereportd: serve: %v", err)
-		os.Exit(1)
+		// The listener failed before any shutdown was requested.
+		logf("ceereportd: serve: %v", err)
+		status = 1
+	case sig := <-stop:
+		logf("ceereportd: %v received, draining", sig)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := httpSrv.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			logf("ceereportd: shutdown: %v", err)
+			status = 1
+		}
+		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+			logf("ceereportd: serve: %v", err)
+			status = 1
+		}
 	}
 	// HTTP is quiesced: flush the ingest queue, seal the WAL, then flush
 	// the notifier chain (no transitions can fire once the WAL is sealed).
 	srv.Close()
 	if life != nil {
 		if err := life.Close(); err != nil {
-			log.Printf("ceereportd: lifecycle close: %v", err)
-			os.Exit(1)
+			logf("ceereportd: lifecycle close: %v", err)
+			status = 1
 		}
 	}
 	for _, n := range notifiers {
 		if err := n.Close(); err != nil {
-			log.Printf("ceereportd: notifier close: %v", err)
+			logf("ceereportd: notifier close: %v", err)
 		}
 	}
-	log.Print("ceereportd: drained cleanly")
+	if status == 0 {
+		logf("ceereportd: drained cleanly")
+	}
+	return status
 }

@@ -9,13 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/lifecycle"
 )
 
-func openFile(t *testing.T, fs *FS) interface {
-	io.ReadWriteCloser
-	Sync() error
-	Truncate(int64) error
-} {
+func openFile(t *testing.T, fs *FS) lifecycle.File {
 	t.Helper()
 	f, err := fs.OpenFile(filepath.Join(t.TempDir(), "f"))
 	if err != nil {
@@ -33,6 +31,12 @@ func TestFSPassthroughWhenUnarmed(t *testing.T) {
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(f); err != nil || string(got) != "hello" {
+		t.Fatalf("read back %q, %v", got, err)
 	}
 	if fs.Injected() != 0 {
 		t.Fatalf("injected = %d, want 0", fs.Injected())

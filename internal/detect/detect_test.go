@@ -317,3 +317,16 @@ func TestReportingMachines(t *testing.T) {
 		t.Fatalf("ReportingMachines after Forget = %d, want 3", got)
 	}
 }
+
+// TestAddAllocs pins Tracker.Add's allocation budget at 0 for a signal on
+// a core the tracker already holds: the per-core stats are found by map
+// lookup and counted in place. A budget may fall when a change earns it,
+// never rise to let one pass.
+func TestAddAllocs(t *testing.T) {
+	tr := NewTracker(64)
+	s := Signal{Machine: "m1", Core: 5, Kind: SigCrash}
+	tr.Add(s)
+	if got := testing.AllocsPerRun(1000, func() { s.Time++; tr.Add(s) }); got != 0 {
+		t.Errorf("Add on an existing core allocates %v per signal, budget 0 (earned by in-place per-core counts)", got)
+	}
+}

@@ -92,9 +92,6 @@ func (e *Engine) Div64(a, b uint64) (q, r uint64) {
 	return q, a - q*b
 }
 
-// And64 returns a & b.
-func (e *Engine) And64(a, b uint64) uint64 { return e.alu(fault.OpLogic, a, a&b) }
-
 // Or64 returns a | b.
 func (e *Engine) Or64(a, b uint64) uint64 { return e.alu(fault.OpLogic, a, a|b) }
 
@@ -106,15 +103,6 @@ func (e *Engine) Shl64(a uint64, k uint) uint64 { return e.alu(fault.OpShift, a,
 
 // Shr64 returns a >> (k & 63).
 func (e *Engine) Shr64(a uint64, k uint) uint64 { return e.alu(fault.OpShift, a, a>>(k&63)) }
-
-// Rotl64 returns a rotated left by k; built from the shift unit.
-func (e *Engine) Rotl64(a uint64, k uint) uint64 {
-	k &= 63
-	if k == 0 {
-		return e.alu(fault.OpShift, a, a)
-	}
-	return e.alu(fault.OpShift, a, a<<k|a>>(64-k))
-}
 
 // Less64 reports a < b through the compare unit. A corrupted compare
 // returns the wrong branch — the control-flow corruption path.

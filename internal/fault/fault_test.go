@@ -571,3 +571,19 @@ func BenchmarkDecide(b *testing.B) {
 		})
 	}
 }
+
+// TestDecideAllocs pins Decide's allocation budget at 0, on a healthy
+// core and on a defective one whose defect fires. It was earned by the
+// per-core armed-op mask: an unarmed op is one count and one branch. A
+// budget may fall when a change earns it, never rise to let one pass.
+func TestDecideAllocs(t *testing.T) {
+	armed := NewCore("a", xrand.New(2), Defect{ID: "d", Unit: UnitALU, BaseRate: 0.5, Kind: CorruptBitFlip, BitPos: 3})
+	for name, c := range map[string]*Core{"healthy": NewCore("h", xrand.New(1)), "armed": armed} {
+		if got := testing.AllocsPerRun(1000, func() { c.Decide(OpAdd, 7) }); got != 0 {
+			t.Errorf("%s core: Decide allocates %v per op, budget 0 (earned by the armed-op mask)", name, got)
+		}
+	}
+	if armed.CorruptCount[OpAdd] == 0 {
+		t.Fatal("the armed core's defect never fired: the armed path went unmeasured")
+	}
+}

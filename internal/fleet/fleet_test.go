@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/detect"
 	"repro/internal/fault"
 	"repro/internal/quarantine"
 	"repro/internal/sched"
@@ -494,5 +495,35 @@ func TestRepairDisabledByDefault(t *testing.T) {
 		if d.RepairsDone != 0 {
 			t.Fatal("repairs happened with RepairAfterDays=0")
 		}
+	}
+}
+
+// TestReplaceSiliconReleasesEveryRecord pins that a whole-machine repair
+// clears every isolation record on the machine, also one that a machine
+// drain without a confession put on a healthy core: the new silicon
+// carries no conviction forward.
+func TestReplaceSiliconReleasesEveryRecord(t *testing.T) {
+	cfg := testConfig()
+	cfg.Policy = quarantine.Policy{Mode: quarantine.MachineDrain}
+	f := newFleet(cfg)
+	var m *Machine
+	for _, cand := range f.machines {
+		if len(cand.Defective) == 0 {
+			m = cand
+			break
+		}
+	}
+	ref := sched.CoreRef{Machine: m.ID, Core: 3}
+	rec, err := f.manager.Handle(detect.Suspect{Machine: ref.Machine, Core: ref.Core, Reports: 5, PValue: 1e-9}, 0, nil)
+	if err != nil || rec == nil {
+		t.Fatalf("Handle: record %v, err %v", rec, err)
+	}
+	var st DayStats
+	f.replaceSilicon(m.ID, 1, &st)
+	if f.manager.Isolated(ref) || len(f.manager.Records()) != 0 {
+		t.Fatalf("after repair: %v isolated=%v, %d live records, want none", ref, f.manager.Isolated(ref), len(f.manager.Records()))
+	}
+	if m.outOfService(ref.Core) || st.RepairsDone != 1 {
+		t.Fatalf("after repair: core out of service=%v, repairs %d, want back in service after 1 repair", m.outOfService(ref.Core), st.RepairsDone)
 	}
 }

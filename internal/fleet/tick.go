@@ -600,11 +600,18 @@ func (f *Fleet) processRepairs(day int, st *DayStats) {
 // the whole-machine repair of the RMA loop and the swap policy's
 // same-day swap alike. Defective cores are visited in ascending order so
 // the trace (and the manager ledger it mirrors) does not depend on map
-// iteration.
+// iteration. Any record left on the machine belongs to a healthy core a
+// drain convicted without a confession; the new silicon clears it too,
+// in isolation order.
 func (f *Fleet) replaceSilicon(machine string, day int, st *DayStats) {
 	for _, idx := range sortedDefectiveCores(f.machineByID(machine)) {
 		f.releaseCore(sched.CoreRef{Machine: machine, Core: idx}, day)
 		f.traceRepair(machine, idx, day)
+	}
+	for _, rec := range f.manager.Records() {
+		if rec.Ref.Machine == machine {
+			f.releaseCore(rec.Ref, day)
+		}
 	}
 	if err := f.cluster.Undrain(machine); err == nil {
 		f.Repairs++

@@ -1,21 +1,13 @@
 // Package forensics implements the §9 research ask to "develop methods to
-// detect novel defect modes, and to efficiently record sufficient forensic
-// evidence across large fleets":
-//
-//   - Ring is a constant-memory per-core recorder of recent corruption
-//     events (attached via fault.Core's OnCorrupt hook) — the evidence a
-//     triage engineer dumps after a suspicion fires, without paying for
-//     unbounded logs fleet-wide.
-//   - Mode/ModeDB classify a characterization screen into a defect-mode
-//     signature (which execution units are implicated, and whether the
-//     failures reproduce deterministically) and track which signatures the
-//     fleet has seen before. A novel signature is exactly the §6 situation
-//     where "new tests might be developed, in response to newly-discovered
-//     defect modes, after deployment".
+// detect novel defect modes": Mode and ModeDB classify a characterization
+// screen into a defect-mode signature (which execution units are
+// implicated, and whether the failures reproduce deterministically) and
+// track which signatures the fleet has seen before. A novel signature is
+// exactly the §6 situation where "new tests might be developed, in
+// response to newly-discovered defect modes, after deployment".
 package forensics
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -24,63 +16,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/screen"
 )
-
-// Ring is a fixed-capacity ring buffer of corruption events. It is safe
-// for use from a single goroutine (like the engine that feeds it); wrap
-// externally if shared.
-type Ring struct {
-	events []fault.CorruptionEvent
-	next   int
-	total  uint64
-}
-
-// NewRing returns a ring holding the most recent capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &Ring{events: make([]fault.CorruptionEvent, 0, capacity)}
-}
-
-// Hook returns a function suitable for fault.Core.OnCorrupt.
-func (r *Ring) Hook() func(fault.CorruptionEvent) {
-	return func(e fault.CorruptionEvent) { r.Add(e) }
-}
-
-// Add records one event, evicting the oldest if full.
-func (r *Ring) Add(e fault.CorruptionEvent) {
-	r.total++
-	if len(r.events) < cap(r.events) {
-		r.events = append(r.events, e)
-		return
-	}
-	r.events[r.next] = e
-	r.next = (r.next + 1) % cap(r.events)
-}
-
-// Total returns the number of events ever recorded (not just retained).
-func (r *Ring) Total() uint64 { return r.total }
-
-// Events returns the retained events, oldest first.
-func (r *Ring) Events() []fault.CorruptionEvent {
-	if len(r.events) < cap(r.events) {
-		return append([]fault.CorruptionEvent(nil), r.events...)
-	}
-	out := make([]fault.CorruptionEvent, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
-}
-
-// ByOpClass tallies retained events by operation class — the first thing
-// a triage engineer looks at ("this code has miscomputed on that core").
-func (r *Ring) ByOpClass() map[fault.OpClass]int {
-	out := map[fault.OpClass]int{}
-	for _, e := range r.Events() {
-		out[e.Op]++
-	}
-	return out
-}
 
 // Mode is an observable defect-mode signature derived from a
 // characterization screen: the set of implicated execution units plus
@@ -188,16 +123,4 @@ func (db *ModeDB) Known() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return append([]string(nil), db.order...)
-}
-
-// Report renders the database for operator consumption.
-func (db *ModeDB) Report() string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "known defect modes: %d\n", len(db.order))
-	for _, k := range db.order {
-		fmt.Fprintf(&b, "  %-24s seen %d time(s)\n", k, db.seen[k])
-	}
-	return b.String()
 }

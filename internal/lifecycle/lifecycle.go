@@ -429,9 +429,16 @@ func (m *Manager) DrainScored(machine string, day int, reason, actor string, sco
 	return m.transitionLocked(machine, Draining, day, reason, actor)
 }
 
-// MarkDrained records that the machine's workload is fully migrated.
+// MarkDrained records that the machine's workload is fully migrated. The
+// drained record keeps the reason the drain was started with.
 func (m *Manager) MarkDrained(machine string, day int, actor string) (State, error) {
-	return m.transition(machine, Drained, day, "", actor)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	reason := ""
+	if r := m.machines[machine]; r != nil && r.State == Draining {
+		reason = r.LastReason
+	}
+	return m.transitionLocked(machine, Drained, day, reason, actor)
 }
 
 // StartRepair sends a drained machine into the repair loop.

@@ -235,16 +235,6 @@ func (m *Manager) DeferCordon(machine string, day int, reason, actor string, sco
 	return m.deferLocked(machine, Cordoned, day, reason, actor, score)
 }
 
-// CancelDeferred durably removes a parked intent (operator cancel).
-func (m *Manager) CancelDeferred(machine string, day int, actor string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.deferred[machine] == nil {
-		return nil
-	}
-	return m.undeferLocked(machine, day, "canceled", actor)
-}
-
 // deferLocked appends and applies a defer record. A machine already
 // queued with the same verb is a no-op (it keeps its arrival order).
 func (m *Manager) deferLocked(machine string, verb State, day int, reason, actor string, score float64) error {
@@ -358,7 +348,7 @@ func (m *Manager) admitLocked(day int) {
 				if _, err := m.transitionLocked(d.Machine, Draining, day, d.Reason, d.Actor); err != nil {
 					return
 				}
-				if _, err := m.transitionLocked(d.Machine, Drained, day, "", d.Actor); err != nil {
+				if _, err := m.transitionLocked(d.Machine, Drained, day, d.Reason, d.Actor); err != nil {
 					return
 				}
 			}
@@ -375,13 +365,4 @@ func (m *Manager) admitLocked(day int) {
 			return
 		}
 	}
-}
-
-// AdmitDeferred runs one admission sweep explicitly (tests and operator
-// tooling; the manager also sweeps automatically whenever a machine
-// returns to service).
-func (m *Manager) AdmitDeferred(day int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.admitLocked(day)
 }

@@ -172,7 +172,11 @@ func TestAdmitSweepFillsTheSlack(t *testing.T) {
 			}
 		}
 		m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: c.floor})
-		m.AdmitDeferred(2)
+		// Releasing an already-serving machine returns no capacity, but it
+		// runs the admission sweep the lowered floor now allows.
+		if _, err := m.Reintroduce(ms[4], 2, "release", "op"); err != nil {
+			t.Fatal(err)
+		}
 		var drained []string
 		for _, id := range ms {
 			if r, _ := m.State(id); r.State == Drained {
@@ -186,30 +190,16 @@ func TestAdmitSweepFillsTheSlack(t *testing.T) {
 	}
 }
 
-func TestCancelAndSupersededDeferred(t *testing.T) {
+func TestSupersededDeferred(t *testing.T) {
 	m, ms := poolManager(t, PoolConfig{Name: "web", MinHealthyCount: 3}, 3)
-
-	if _, err := m.Drain(ms[0], 1, "x", "op"); !errors.Is(err, ErrDeferred) {
-		t.Fatalf("drain at floor: err %v, want ErrDeferred", err)
-	}
-	if err := m.CancelDeferred(ms[0], 2, "op"); err != nil {
-		t.Fatal(err)
-	}
-	if q := m.DeferredDrains(); len(q) != 0 {
-		t.Fatalf("queue after cancel = %+v, want empty", q)
-	}
-	// Canceling an unqueued machine is a no-op.
-	if err := m.CancelDeferred(ms[1], 2, "op"); err != nil {
-		t.Fatal(err)
-	}
 
 	// A deferred intent is superseded by a later direct drain that fits
 	// (the floor drops when the pool is redefined).
-	if _, err := m.Drain(ms[0], 3, "x", "op"); !errors.Is(err, ErrDeferred) {
-		t.Fatal("expected second deferral")
+	if _, err := m.Drain(ms[0], 1, "x", "op"); !errors.Is(err, ErrDeferred) {
+		t.Fatalf("drain at floor: err %v, want ErrDeferred", err)
 	}
 	m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: 1})
-	if st, err := m.Drain(ms[0], 4, "x", "op"); err != nil || st != Draining {
+	if st, err := m.Drain(ms[0], 2, "x", "op"); err != nil || st != Draining {
 		t.Fatalf("drain after floor drop: state %v err %v", st, err)
 	}
 	if q := m.DeferredDrains(); len(q) != 0 {
@@ -231,7 +221,9 @@ func TestStaleDeferredDropped(t *testing.T) {
 	if _, err := m.Remove(ms[1], 2, "dead", "op"); err != nil {
 		t.Fatal(err)
 	}
-	m.AdmitDeferred(3)
+	if _, err := m.Reintroduce(ms[0], 3, "repaired", "op"); err != nil {
+		t.Fatal(err)
+	}
 	if q := m.DeferredDrains(); len(q) != 0 {
 		t.Fatalf("queue after removal sweep = %+v, want empty", q)
 	}
@@ -246,7 +238,9 @@ func TestCordonDeferredAdmitsAsCordon(t *testing.T) {
 		t.Fatal("expected cordon deferral at floor")
 	}
 	m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: 1})
-	m.AdmitDeferred(2)
+	if _, err := m.Reintroduce(ms[1], 2, "release", "op"); err != nil {
+		t.Fatal(err)
+	}
 	if r, _ := m.State(ms[0]); r.State != Cordoned {
 		t.Fatalf("admitted cordon: state %v, want cordoned (not drained)", r.State)
 	}
@@ -337,7 +331,9 @@ func TestDeferredQueueSurvivesReopen(t *testing.T) {
 	// Pool definitions are config, not WAL: redefine, then admission
 	// resumes where the pre-crash manager would have.
 	re.DefinePool(PoolConfig{Name: "web", MinHealthyCount: 1})
-	re.AdmitDeferred(3)
+	if _, err := re.Reintroduce("m3", 3, "release", "op"); err != nil {
+		t.Fatal(err)
+	}
 	if q := re.DeferredDrains(); len(q) != 0 {
 		t.Fatalf("queue after post-replay admission = %+v, want empty", q)
 	}
@@ -378,4 +374,53 @@ func TestAssignPoolDurableAndIdempotent(t *testing.T) {
 	if pool := re.PoolOf("m1"); pool != "" {
 		t.Fatalf("replayed pool = %q, want cleared", pool)
 	}
+}
+
+// TestDrainedKeepsDrainReason pins that a drained machine still shows why
+// it was drained, whether its drain completed directly or was admitted
+// from the deferred queue, and after the ledger is replayed.
+func TestDrainedKeepsDrainReason(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lifecycle.wal")
+	m, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: 3})
+	for _, id := range []string{"m1", "m2", "m3", "m4"} {
+		if err := m.AssignPool(id, "web"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Drain("m1", 1, "maint", "op"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.MarkDrained("m1", 1, "op"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DrainScored("m2", 2, "cee", "detector", 5); !errors.Is(err, ErrDeferred) {
+		t.Fatalf("drain at floor: err %v, want ErrDeferred", err)
+	}
+	m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: 2})
+	if _, err := m.Reintroduce("m4", 3, "release", "op"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"m1": "maint", "m2": "cee"}
+	check := func(m *Manager, when string) {
+		t.Helper()
+		for id, reason := range want {
+			if r, _ := m.State(id); r.State != Drained || r.LastReason != reason {
+				t.Errorf("%s: %s is %v with reason %q, want drained with %q", when, id, r.State, r.LastReason, reason)
+			}
+		}
+	}
+	check(m, "live")
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "replayed")
 }

@@ -38,7 +38,7 @@ const (
 	// KindDefer parks a capacity-blocked drain/cordon intent: To holds the
 	// intended target state, Pool and Score the queue position.
 	KindDefer = "defer"
-	// KindUndefer clears a machine's deferred intent (admitted, canceled,
+	// KindUndefer clears a machine's deferred intent (admitted, superseded
 	// or stale); Reason says which.
 	KindUndefer = "undefer"
 	// KindAssign sets a machine's pool membership (Pool field).

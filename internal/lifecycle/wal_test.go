@@ -295,7 +295,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // writePoolWAL runs pool bookkeeping against a WAL-backed manager and
 // returns the log bytes: assignments, a drain, a scored drain the floor
-// defers, its cancel, a deferred cordon and that cordon's admission.
+// defers, a deferred cordon, and both intents' admission once the drained
+// machine is released.
 func writePoolWAL(t *testing.T) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "pools.wal")
@@ -315,14 +316,16 @@ func writePoolWAL(t *testing.T) []byte {
 	if _, err := m.DrainScored("m2", 2, "cee", "detector", 7.25); !errors.Is(err, ErrDeferred) {
 		t.Fatalf("expected deferral, got %v", err)
 	}
-	if err := m.CancelDeferred("m2", 3, "op"); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.DeferCordon("m3", 4, "cee", "detector", 1e-7); err != nil {
 		t.Fatal(err)
 	}
 	m.DefinePool(PoolConfig{Name: "web", MinHealthyCount: 1})
-	m.AdmitDeferred(5)
+	if _, err := m.Reintroduce("m1", 5, "repaired", "op"); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := m.State("m2"); r.State != Drained {
+		t.Fatalf("admitted drain left m2 %v", r.State)
+	}
 	if r, _ := m.State("m3"); r.State != Cordoned {
 		t.Fatalf("admitted cordon left m3 %v", r.State)
 	}
@@ -671,5 +674,29 @@ func BenchmarkReadLog(b *testing.B) {
 		if _, _, err := readLog(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodeRecordAllocs pins decodeRecord's allocation budget at one per
+// record, earned by the canonical-form decoder: every string field is a
+// substring of one string copy of the payload. A budget may fall when a
+// change earns it, never rise to let one pass.
+func TestDecodeRecordAllocs(t *testing.T) {
+	line, err := frame(Transition{Seq: 7, Day: 3, Machine: "m00042", From: "draining", To: "drained",
+		Reason: "maint", Actor: "op", Kind: KindDefer, Pool: "web", Score: 4.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := framePayload(bytes.TrimSuffix(line, []byte{'\n'}))
+	if !ok {
+		t.Fatal("bad frame")
+	}
+	var tr Transition
+	if got := testing.AllocsPerRun(1000, func() {
+		if !decodeRecord(payload, &tr) {
+			t.Fatal("record took the encoding/json fallback")
+		}
+	}); got > 1 {
+		t.Errorf("decodeRecord allocates %v per record, budget 1 (earned by substring fields)", got)
 	}
 }

@@ -1,7 +1,6 @@
 // Package metrics computes the §4 reliability metrics the paper says are
 // needed but hard to define: the fraction of cores exhibiting CEEs (and
-// its dependence on test coverage), age until onset, detection latency,
-// and the rate of application-visible corruption.
+// its dependence on test coverage) and detection latency.
 package metrics
 
 import (
@@ -76,54 +75,6 @@ func Detection(f *fleet.Fleet, runDays int) DetectionReport {
 		rep.LatencyDays = append(rep.LatencyDays, latency)
 	}
 	return rep
-}
-
-// OnsetDistributionDays returns the onset age, in days, of every defect in
-// the fleet's population — §4's "age until onset" metric. Zero entries are
-// defects that escaped manufacturing test already active.
-func OnsetDistributionDays(f *fleet.Fleet) []float64 {
-	out := make([]float64, 0, len(f.Defects()))
-	for _, d := range f.Defects() {
-		out = append(out, d.FirstActive.Days())
-	}
-	return out
-}
-
-// AppVisible summarizes corruption visibility from a daily series — §4's
-// "rate and nature of application-visible corruptions".
-type AppVisible struct {
-	// CorruptionsPerMachineDay is the ground-truth CEE rate.
-	CorruptionsPerMachineDay float64
-	// DetectedPerMachineDay counts corruptions surfaced by any channel.
-	DetectedPerMachineDay float64
-	// SilentFraction is the share of corruptions never detected.
-	SilentFraction float64
-	// CrashFraction is the share manifesting fail-noisy.
-	CrashFraction float64
-}
-
-// AppVisibility computes the summary over a run.
-func AppVisibility(days []fleet.DayStats, machines int) AppVisible {
-	var total, silent, crash, detected int64
-	for _, d := range days {
-		total += d.Corruptions
-		silent += d.ByOutcome[fleet.OutcomeSilent]
-		crash += d.ByOutcome[fleet.OutcomeCrash] + d.ByOutcome[fleet.OutcomeMCE]
-		detected += d.ByOutcome[fleet.OutcomeImmediate] + d.ByOutcome[fleet.OutcomeLate]
-	}
-	md := float64(machines) * float64(len(days))
-	if md == 0 {
-		return AppVisible{}
-	}
-	out := AppVisible{
-		CorruptionsPerMachineDay: float64(total) / md,
-		DetectedPerMachineDay:    float64(detected) / md,
-	}
-	if total > 0 {
-		out.SilentFraction = float64(silent) / float64(total)
-		out.CrashFraction = float64(crash) / float64(total)
-	}
-	return out
 }
 
 // CoveragePoint is one point of the E12 curve: detected fraction as a

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -103,63 +102,6 @@ func TestDetectedFractionEmpty(t *testing.T) {
 	}
 	if (DetectionReport{}).MeanLatencyDays() != 0 {
 		t.Fatal("empty report latency should be 0")
-	}
-}
-
-func TestOnsetDistribution(t *testing.T) {
-	r, err := fleet.NewRunner(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := r.Fleet()
-	onsets := OnsetDistributionDays(f)
-	if len(onsets) != len(f.Defects()) {
-		t.Fatalf("onsets = %d", len(onsets))
-	}
-	immediate, latent := 0, 0
-	for _, o := range onsets {
-		if o < 0 {
-			t.Fatalf("negative onset %v", o)
-		}
-		if o == 0 {
-			immediate++
-		} else {
-			latent++
-		}
-	}
-	// The catalog makes ~40% of defects latent; with a mixed population
-	// both kinds must be present.
-	if immediate == 0 || latent == 0 {
-		t.Fatalf("population not mixed: immediate=%d latent=%d", immediate, latent)
-	}
-}
-
-func TestAppVisibility(t *testing.T) {
-	days := []fleet.DayStats{
-		{Corruptions: 100, ByOutcome: [5]int64{25, 15, 5, 10, 45}},
-		{Corruptions: 100, ByOutcome: [5]int64{25, 15, 5, 10, 45}},
-	}
-	av := AppVisibility(days, 10)
-	if math.Abs(av.CorruptionsPerMachineDay-10) > 1e-9 {
-		t.Fatalf("corruptions/machine-day = %v", av.CorruptionsPerMachineDay)
-	}
-	if math.Abs(av.DetectedPerMachineDay-3.5) > 1e-9 {
-		t.Fatalf("detected/machine-day = %v", av.DetectedPerMachineDay)
-	}
-	if math.Abs(av.SilentFraction-0.45) > 1e-9 {
-		t.Fatalf("silent fraction = %v", av.SilentFraction)
-	}
-	if math.Abs(av.CrashFraction-0.20) > 1e-9 {
-		t.Fatalf("crash fraction = %v", av.CrashFraction)
-	}
-}
-
-func TestAppVisibilityEmpty(t *testing.T) {
-	if av := AppVisibility(nil, 10); av.CorruptionsPerMachineDay != 0 {
-		t.Fatal("empty series should be zero")
-	}
-	if av := AppVisibility([]fleet.DayStats{{}}, 10); av.SilentFraction != 0 {
-		t.Fatal("zero corruptions should give zero fractions")
 	}
 }
 

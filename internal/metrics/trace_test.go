@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -86,4 +89,66 @@ func TestDetectionFromTraceRejectsNonLifecycleTrace(t *testing.T) {
 	if _, err := DetectionFromTrace(events, 10); err == nil {
 		t.Fatal("expected error for trace without defect census")
 	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the trace reader and on to the
+// detection replay. Malformed input must come back as an error, never a
+// panic. A stream the reader accepts must be well-formed JSON, must
+// survive WriteJSONL and a second read unchanged, and must replay to a
+// report whose counts agree with each other. The checked-in corpus seeds
+// it with a short real fleet trace (testdata/fuzz/FuzzReadTrace).
+func FuzzReadTrace(f *testing.F) {
+	for _, s := range []string{
+		"",
+		`{"day":3,"time_sec":259200,"machine":"m1","core":2,"event":"quarantine","mode":"core-removal"}` + "\n",
+		`{"day":0,"time_sec":0,"machine":"m1","core":2,"event":"defect-present","first_active_sec":86400}` + "\n",
+		`{"day":"x"}`,
+		`{"day":1,"machine":"m1"`,
+		`{"core":1e400}`,
+		"[]",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := obs.ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			if events != nil {
+				t.Fatalf("ReadJSONL returned %d events with error %v", len(events), err)
+			}
+			return
+		}
+		for dec := json.NewDecoder(bytes.NewReader(data)); ; {
+			var raw json.RawMessage
+			if err := dec.Decode(&raw); errors.Is(err, io.EOF) {
+				break
+			} else if err != nil {
+				t.Fatalf("ReadJSONL accepted input that is not a JSON stream: %v", err)
+			}
+		}
+		tr := obs.NewTrace()
+		for _, ev := range events {
+			tr.Emit(ev)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatalf("WriteJSONL: %v", err)
+		}
+		back, err := obs.ReadJSONL(&buf)
+		if err != nil || !reflect.DeepEqual(back, events) {
+			t.Fatalf("trace did not round-trip: err %v\nread    %+v\nreread  %+v", err, events, back)
+		}
+		rep, err := DetectionFromTrace(events, 30)
+		if err != nil {
+			return
+		}
+		if rep.TruePositive+rep.FalsePositive != rep.Quarantined || len(rep.LatencyDays) != rep.TruePositive ||
+			rep.PastOnset > rep.TotalDefective {
+			t.Fatalf("inconsistent report %+v", rep)
+		}
+		for _, l := range rep.LatencyDays {
+			if !(l >= 0) {
+				t.Fatalf("latency %v in %+v", l, rep)
+			}
+		}
+	})
 }

@@ -56,13 +56,6 @@ func (s *ShardedCounter) Shard(w int) *Counter {
 	return &s.cells[w%len(s.cells)].c
 }
 
-// Add folds v into shard 0 — for serial-phase callers without a worker
-// identity.
-func (s *ShardedCounter) Add(v float64) { s.Shard(0).Add(v) }
-
-// Inc adds 1 to shard 0.
-func (s *ShardedCounter) Inc() { s.Add(1) }
-
 // Value returns the merged total across all shards.
 func (s *ShardedCounter) Value() float64 {
 	if s == nil {

@@ -16,12 +16,6 @@ func TestShardedCounterMergesShards(t *testing.T) {
 	if got := sc.Value(); got != 10 {
 		t.Fatalf("merged value = %v, want 10", got)
 	}
-	// Convenience methods land on shard 0.
-	sc.Inc()
-	sc.Add(4)
-	if got := sc.Value(); got != 15 {
-		t.Fatalf("after Inc+Add = %v, want 15", got)
-	}
 }
 
 func TestShardedCounterShardWraps(t *testing.T) {
@@ -103,7 +97,6 @@ func TestShardedCounterNilRegistry(t *testing.T) {
 	var r *Registry
 	sc := r.ShardedCounter("nop_total", 4)
 	sc.Shard(3).Inc()
-	sc.Add(5)
 	var nilSC *ShardedCounter
 	nilSC.Shard(0).Inc()
 	if nilSC.Value() != 0 {

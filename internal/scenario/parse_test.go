@@ -105,6 +105,7 @@ func TestParseErrorsCarryLines(t *testing.T) {
 		{"tab indent", "a: 1\n\tb: 2\n", "test.yaml:2"},
 		{"duplicate key", "a: 1\nb: 2\na: 3\n", "test.yaml:3"},
 		{"unclosed flow", "a: {b: 1\n", "test.yaml:1"},
+		{"flow key without colon", "a: 1\nb: {c 1}\n", "test.yaml:2: expected ':' after key \"c 1\""},
 		{"block scalar unsupported", "a: |\n  text\n", "test.yaml:1"},
 		{"anchor unsupported", "a: &x 1\n", "test.yaml:1"},
 	}

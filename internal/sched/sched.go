@@ -84,17 +84,8 @@ type Machine struct {
 	cores    []coreSlot
 }
 
-// Cores returns the machine's core count.
-func (m *Machine) Cores() int { return len(m.cores) }
-
 // Drained reports whether the machine is removed from the pool.
 func (m *Machine) Drained() bool { return m.drained }
-
-// Cordoned reports whether the machine rejects new placements. Unlike a
-// drain, cordoning does not evict running tasks — it is the lifecycle
-// control plane's first, cheap isolation step: stop the bleeding of new
-// work onto suspect silicon, then drain deliberately.
-func (m *Machine) Cordoned() bool { return m.cordoned }
 
 // available reports whether the machine accepts new placements.
 func (m *Machine) available() bool { return !m.drained && !m.cordoned }

@@ -191,7 +191,7 @@ func Screen(core *fault.Core, cfg Config, rng *xrand.RNG) Report {
 	return rep
 }
 
-// Online models spare-cycle screening (§6): each Tick runs a few randomly
+// Online models spare-cycle screening (§6): each TickOn runs a few randomly
 // chosen workloads within a small op budget, accumulating coverage over
 // many ticks instead of draining the core.
 type Online struct {
@@ -231,14 +231,10 @@ func (o *Online) Bind(workers int) {
 	o.detections = o.Metrics.ShardedCounter(onlineDetectionsName, workers)
 }
 
-// Tick runs one online screening slice against core and returns the
-// (possibly empty) detections plus the ops consumed.
-func (o *Online) Tick(core *fault.Core, rng *xrand.RNG) ([]corpus.Result, uint64) {
-	return o.TickOn(core, rng, 0)
-}
-
-// TickOn is Tick with the caller's worker identity, which routes the
-// telemetry to that worker's counter shard (see parallel.ForEachWorker).
+// TickOn runs one online screening slice against core and returns the
+// (possibly empty) detections plus the ops consumed. worker is the
+// caller's worker identity, which routes the telemetry to that worker's
+// counter shard (see parallel.ForEachWorker).
 func (o *Online) TickOn(core *fault.Core, rng *xrand.RNG, worker int) ([]corpus.Result, uint64) {
 	ws := o.Workloads
 	if ws == nil {

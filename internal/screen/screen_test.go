@@ -219,7 +219,7 @@ func TestLatentDefectInvisibleUntilOnset(t *testing.T) {
 func TestOnlineTickBudget(t *testing.T) {
 	core := fault.NewCore("h", xrand.New(20))
 	o := Online{BudgetOps: 200_000}
-	found, ops := o.Tick(core, xrand.New(21))
+	found, ops := o.TickOn(core, xrand.New(21), 0)
 	if len(found) != 0 {
 		t.Fatal("healthy core produced online detections")
 	}
@@ -239,7 +239,7 @@ func TestOnlineEventuallyCatchesDefect(t *testing.T) {
 	rng := xrand.New(23)
 	caught := false
 	for tick := 0; tick < 200 && !caught; tick++ {
-		found, _ := o.Tick(core, rng)
+		found, _ := o.TickOn(core, rng, 0)
 		caught = len(found) > 0
 	}
 	if !caught {
@@ -250,7 +250,7 @@ func TestOnlineEventuallyCatchesDefect(t *testing.T) {
 func TestOnlineDefaultBudget(t *testing.T) {
 	core := fault.NewCore("h", xrand.New(24))
 	var o Online
-	_, ops := o.Tick(core, xrand.New(25))
+	_, ops := o.TickOn(core, xrand.New(25), 0)
 	if ops == 0 {
 		t.Fatal("zero-value Online did no work")
 	}

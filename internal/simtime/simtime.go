@@ -16,6 +16,3 @@ const (
 
 // Days returns the time as a floating-point number of days.
 func (t Time) Days() float64 { return float64(t / Day) }
-
-// Hours returns the time as a floating-point number of hours.
-func (t Time) Hours() float64 { return float64(t / Hour) }

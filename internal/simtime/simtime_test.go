@@ -11,7 +11,4 @@ func TestDurations(t *testing.T) {
 	if (2 * Day).Days() != 2 {
 		t.Fatalf("Days() = %v", (2 * Day).Days())
 	}
-	if (90 * Minute).Hours() != 1.5 {
-		t.Fatalf("Hours() = %v", (90 * Minute).Hours())
-	}
 }

@@ -1,84 +1,30 @@
 // Package stats provides the statistical substrate shared by the screening,
-// detection, and fleet-simulation packages: summary statistics, quantiles,
-// histograms, and the tail tests used to decide whether suspect-core reports
-// are concentrated on a few cores (a CEE signature, §6 of the paper) or
-// spread evenly (a software-bug signature).
+// detection, and fleet-simulation packages: a running mean, quantiles, and
+// the tail test used to decide whether suspect-core reports are
+// concentrated on a few cores (a CEE signature, §6 of the paper) or spread
+// evenly (a software-bug signature).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// Summary holds running moments of a stream of observations.
+// Summary holds the running mean of a stream of observations.
 type Summary struct {
-	n              int
-	mean, m2       float64
-	min, max       float64
-	sum            float64
-	hasObservation bool
+	n    int
+	mean float64
 }
 
-// Add records one observation (Welford's online algorithm).
+// Add records one observation (Welford's update of the mean).
 func (s *Summary) Add(x float64) {
 	s.n++
-	s.sum += x
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-	if !s.hasObservation || x < s.min {
-		s.min = x
-	}
-	if !s.hasObservation || x > s.max {
-		s.max = x
-	}
-	s.hasObservation = true
 }
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Sum returns the sum of observations.
-func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Variance returns the unbiased sample variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 { return s.max }
-
-// String formats the summary for experiment output.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It does not modify xs.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
 
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
@@ -97,7 +43,9 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Quantiles returns several quantiles of xs in one sort.
+// Quantiles returns the q-quantile (0 <= q <= 1) of xs for each q in qs,
+// in one sort, interpolating linearly between order statistics. It does
+// not modify xs; with no observations every quantile is NaN.
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(xs) == 0 {
@@ -113,50 +61,6 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 		out[i] = quantileSorted(sorted, q)
 	}
 	return out
-}
-
-// Histogram is a fixed-bin-width histogram over [Lo, Hi). Observations
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int
-	Underflow int
-	Overflow  int
-	total     int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard float rounding at the upper edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations including under/overflow.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
 }
 
 // LogBucket returns the decade bucket of x: floor(log10 x), with values
@@ -195,7 +99,7 @@ func DecadeSpread(xs []float64) int {
 
 // lnGamma computes the natural log of the Gamma function (Lanczos
 // approximation, g=7). Accurate to ~1e-13 over the positive reals, ample
-// for the tail tests below.
+// for the binomial tail below.
 func lnGamma(x float64) float64 {
 	if x < 0.5 {
 		// Reflection formula.
@@ -257,54 +161,6 @@ func BinomialTailAtLeast(n int, p float64, k int) float64 {
 		sum = 1
 	}
 	return sum
-}
-
-// PoissonTailAtLeast returns P[X >= k] for X ~ Poisson(lambda).
-func PoissonTailAtLeast(lambda float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if lambda <= 0 {
-		return 0
-	}
-	// P[X >= k] = 1 - sum_{i<k} e^-l l^i / i!
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		sum += math.Exp(-lambda + float64(i)*math.Log(lambda) - lnGamma(float64(i)+1))
-	}
-	tail := 1 - sum
-	if tail < 0 {
-		tail = 0
-	}
-	return tail
-}
-
-// ConcentrationPValue performs the §6 "evenly spread vs concentrated" test.
-// counts[i] is the number of suspect reports attributed to core i. Under the
-// null hypothesis (software bug: reports uniform over cores) the maximum
-// per-core count has a Bonferroni-bounded tail probability. A small return
-// value means the reports are implausibly concentrated, i.e. a CEE suspect.
-func ConcentrationPValue(counts []int) float64 {
-	c := len(counts)
-	if c == 0 {
-		return 1
-	}
-	total, maxCount := 0, 0
-	for _, v := range counts {
-		total += v
-		if v > maxCount {
-			maxCount = v
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	p := BinomialTailAtLeast(total, 1/float64(c), maxCount)
-	bonferroni := p * float64(c)
-	if bonferroni > 1 {
-		return 1
-	}
-	return bonferroni
 }
 
 // Gini returns the Gini coefficient of the non-negative values xs — a

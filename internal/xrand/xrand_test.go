@@ -299,23 +299,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(19)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	r := New(20)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -389,25 +372,6 @@ func TestQuickUint64nInRange(t *testing.T) {
 			n = 1
 		}
 		return r.Uint64n(n) < n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickPermValid(t *testing.T) {
-	r := New(23)
-	f := func(n uint8) bool {
-		m := int(n % 64)
-		p := r.Perm(m)
-		seen := make(map[int]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == m
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
