@@ -154,6 +154,25 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestRunMaxRepairs runs the daemon with -max-repairs 1: once a machine
+// has completed one repair cycle, its next cordon removes it for good
+// (at the default of 2 it would only be cordoned).
+func TestRunMaxRepairs(t *testing.T) {
+	ctx := context.Background()
+	c, stop := serve(t, nil, "-wal", filepath.Join(t.TempDir(), "lifecycle.wal"), "-max-repairs", "1")
+	for _, verb := range []string{"drain", "repair", "release", "cordon"} {
+		if _, err := c.MachineAction(ctx, "m1", verb, report.ActionRequest{Reason: "test"}); err != nil {
+			t.Fatalf("%s m1: %v", verb, err)
+		}
+	}
+	if m, err := c.Machine(ctx, "m1"); err != nil || m.State != "removed" || m.RepairCycles != 1 {
+		t.Errorf("m1 after a second cordon: %+v, err %v; want removed after 1 repair cycle", m, err)
+	}
+	if code, stderr := stop(); code != 0 {
+		t.Fatalf("exit %d, want 0\n%s", code, stderr)
+	}
+}
+
 // TestRunFailures pins the exit status of each way run can fail: 2 for
 // usage, 1 for a WAL or listener that does not work.
 func TestRunFailures(t *testing.T) {

@@ -146,7 +146,7 @@ func (o *outputs) write(stdout io.Writer, tr *obs.Trace, reg *obs.Registry, trac
 func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fleetsim run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	par := fs.Int("parallelism", 0, "fleet simulation workers (0 = scenario's setting, then GOMAXPROCS)")
+	par := fs.Int("parallelism", 0, "fleet simulation workers (0 = GOMAXPROCS)")
 	tracePath := fs.String("trace", "", "write the CEE lifecycle trace (JSONL) to this file")
 	metricsPath := fs.String("metrics", "", "write a Prometheus text metrics snapshot to this file, '-' for stdout")
 	fs.Usage = func() {

@@ -12,10 +12,11 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 // TestRunGolden pins mercury's full stdout for seeded runs that drive
 // Confess and Screen on a defective core end to end: the default crypto
-// defect (confesses), a latent VEC defect (exonerated before onset), and
-// an ALU defect that confesses and is classified. Any change to the fault
-// model's decision sequence or RNG consumption shows up here. Run with
-// -update to regenerate the goldens.
+// defect (confesses), a latent VEC defect (exonerated before onset), an
+// ALU defect that confesses and is classified, and the default defect
+// drawn from another seed. Any change to the fault model's decision
+// sequence or RNG consumption shows up here. Run with -update to
+// regenerate the goldens.
 func TestRunGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -24,6 +25,7 @@ func TestRunGolden(t *testing.T) {
 		{"default", nil},
 		{"vec-copy-lane-safe-tasks", []string{"-class", "vec-copy-lane", "-core", "5", "-cores", "16", "-mode", "safe-tasks"}},
 		{"alu-low-freq-worse", []string{"-class", "alu-low-freq-worse"}},
+		{"seed-7", []string{"-seed", "7"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -55,23 +55,6 @@ type Config struct {
 	// machine. The paper reports "on the order of a few mercurial cores
 	// per several thousand machines"; the default 0.002 reproduces that.
 	DefectsPerMachine float64 `scn:"defects_per_machine"`
-	// DailyOpsPerCore is the production operation volume per core per
-	// day that defects can act on.
-	DailyOpsPerCore float64 `scn:"daily_ops_per_core"`
-	// PImmediateDetect is the probability an application-level check
-	// (checksum, replica compare) catches a corruption promptly.
-	PImmediateDetect float64 `scn:"p_immediate_detect"`
-	// PCrash is the probability a corruption crashes the process or
-	// kernel (fail-noisy).
-	PCrash float64 `scn:"p_crash"`
-	// PMCE is the probability of a machine-check event.
-	PMCE float64 `scn:"p_mce"`
-	// PLateDetect is the probability the wrong answer is detected after
-	// it is too late to retry.
-	PLateDetect float64 `scn:"p_late_detect"`
-	// PCoreAttribution is the probability a detected signal names the
-	// specific core (vs only the machine).
-	PCoreAttribution float64 `scn:"p_core_attribution"`
 	// SoftwareBugSignalsPerMachineDay is the background rate of
 	// corruption-looking signals caused by ordinary software bugs,
 	// spread evenly over cores — the noise the concentration test
@@ -90,9 +73,6 @@ type Config struct {
 	// every CorpusGrowEveryDays days. Zero disables growth.
 	InitialCorpus       int `scn:"initial_corpus"`
 	CorpusGrowEveryDays int `scn:"corpus_grow_every_days"`
-	// MaxSignalsPerCoreDay rate-limits reporting, as production signal
-	// pipelines do.
-	MaxSignalsPerCoreDay int `scn:"max_signals_per_core_day"`
 	// Policy is the quarantine policy applied to nominated suspects.
 	Policy quarantine.Policy
 	// ConfessionConfig is the screen used for confessions; its zero
@@ -161,6 +141,30 @@ type SKU struct {
 	PreAgeDays float64 `scn:"pre_age_days"`
 }
 
+// The production side of the model, calibrated once. Use each as a plain
+// float64 operand: a constant expression that combines two is folded
+// exactly at compile time, which moves the day loop's float arithmetic
+// and every pinned output.
+const (
+	// dailyOpsPerCore is the production operation volume per core per
+	// day that defects can act on.
+	dailyOpsPerCore = 2e7
+	// §2's risk ladder: the probability that a corruption is caught
+	// promptly by an application-level check (checksum, replica compare),
+	// crashes the process or kernel (fail-noisy), raises a machine check,
+	// or is detected after it is too late to retry. The rest is silent.
+	pImmediateDetect = 0.25
+	pCrash           = 0.15
+	pMCE             = 0.05
+	pLateDetect      = 0.10
+	// pCoreAttribution is the probability a detected signal names the
+	// specific core (vs only the machine).
+	pCoreAttribution = 0.8
+	// maxSignalsPerCoreDay rate-limits reporting, as production signal
+	// pipelines do.
+	maxSignalsPerCoreDay = 10
+)
+
 // DefaultConfig returns the calibrated configuration used by the
 // experiments. The fleet is smaller than Google's but large enough for
 // every statistic the paper reports to emerge.
@@ -170,18 +174,11 @@ func DefaultConfig() Config {
 		CoresPerMachine:                 32,
 		Seed:                            1,
 		DefectsPerMachine:               0.002,
-		DailyOpsPerCore:                 2e7,
-		PImmediateDetect:                0.25,
-		PCrash:                          0.15,
-		PMCE:                            0.05,
-		PLateDetect:                     0.10,
-		PCoreAttribution:                0.8,
 		SoftwareBugSignalsPerMachineDay: 0.001,
 		UserReportFraction:              0.05,
 		ScreenOpsPerCoreDay:             50_000,
 		InitialCorpus:                   5,
 		CorpusGrowEveryDays:             120,
-		MaxSignalsPerCoreDay:            10,
 		Policy: quarantine.Policy{
 			Mode:              quarantine.CoreRemoval,
 			RequireConfession: true,
@@ -607,7 +604,7 @@ func (f *Fleet) dailyLambda(core *fault.Core) float64 {
 			if fault.UnitOf(op) != d.Unit {
 				continue
 			}
-			lambda += rate * frac * f.cfg.DailyOpsPerCore * opMix[op]
+			lambda += rate * frac * dailyOpsPerCore * opMix[op]
 		}
 	}
 	return lambda
@@ -622,10 +619,10 @@ func (f *Fleet) splitOutcomes(n int64, rng *xrand.RNG) [numOutcomes]int64 {
 		o Outcome
 		p float64
 	}{
-		{OutcomeImmediate, f.cfg.PImmediateDetect},
-		{OutcomeCrash, f.cfg.PCrash},
-		{OutcomeMCE, f.cfg.PMCE},
-		{OutcomeLate, f.cfg.PLateDetect},
+		{OutcomeImmediate, pImmediateDetect},
+		{OutcomeCrash, pCrash},
+		{OutcomeMCE, pMCE},
+		{OutcomeLate, pLateDetect},
 	}
 	left := 1.0
 	for _, pr := range probs {

@@ -324,12 +324,11 @@ func TestSplitOutcomesSumsAndProbabilities(t *testing.T) {
 		}
 	}
 	total := float64(trials * n)
-	cfg := f.cfg
 	wants := map[Outcome]float64{
-		OutcomeImmediate: cfg.PImmediateDetect,
-		OutcomeCrash:     cfg.PCrash,
-		OutcomeMCE:       cfg.PMCE,
-		OutcomeLate:      cfg.PLateDetect,
+		OutcomeImmediate: pImmediateDetect,
+		OutcomeCrash:     pCrash,
+		OutcomeMCE:       pMCE,
+		OutcomeLate:      pLateDetect,
 	}
 	for o, want := range wants {
 		got := float64(totals[o]) / total

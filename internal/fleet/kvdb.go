@@ -33,39 +33,31 @@ type KVDBConfig struct {
 	Stores int `scn:"stores"`
 	// Replicas per store (default 3).
 	Replicas int `scn:"replicas"`
-	// Rows per store (default 16).
-	Rows int `scn:"rows"`
 	// ReadsPerDay and WritesPerDay shape the daily workload per store
 	// (defaults 64 and 4).
 	ReadsPerDay  int `scn:"reads_per_day"`
 	WritesPerDay int `scn:"writes_per_day"`
-	// ValueBytes is the row payload size (default 64).
-	ValueBytes int `scn:"value_bytes"`
-	// MaxRetries bounds per-read different-replica retries (default 2).
-	MaxRetries int `scn:"max_retries"`
 	// AvoidScore is the tracker suspect score at which a replica's core
 	// is deprioritized before any quarantine decision (default 6).
 	AvoidScore float64 `scn:"avoid_score"`
 }
 
+// Each store holds kvRows rows of kvValueBytes bytes; a read retries on
+// other replicas as often as kvdb.NewTolerant allows by default.
+const (
+	kvRows       = 16
+	kvValueBytes = 64
+)
+
 func (c KVDBConfig) withDefaults() KVDBConfig {
 	if c.Replicas <= 0 {
 		c.Replicas = 3
-	}
-	if c.Rows <= 0 {
-		c.Rows = 16
 	}
 	if c.ReadsPerDay <= 0 {
 		c.ReadsPerDay = 64
 	}
 	if c.WritesPerDay <= 0 {
 		c.WritesPerDay = 4
-	}
-	if c.ValueBytes <= 0 {
-		c.ValueBytes = 64
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
 	}
 	if c.AvoidScore <= 0 {
 		c.AvoidScore = 6
@@ -124,7 +116,6 @@ func (f *Fleet) buildKVStores() {
 			panic(err)
 		}
 		ks.tdb = kvdb.NewTolerant(db, kvdb.TolerantConfig{
-			MaxRetries: kcfg.MaxRetries,
 			// Signals are buffered and merged at the end of the phase.
 			Sink:    f.bufferSignal,
 			Health:  f.kvHealth,
@@ -134,9 +125,9 @@ func (f *Fleet) buildKVStores() {
 		// Seed the rows. Defective replicas may store corrupt bytes right
 		// away — exactly the latent state tolerant reads must survive.
 		seed := krng.ForkString("rows:" + ks.id)
-		for i := 0; i < kcfg.Rows; i++ {
+		for i := 0; i < kvRows; i++ {
 			key := fmt.Sprintf("row%04d", i)
-			val := make([]byte, kcfg.ValueBytes)
+			val := make([]byte, kvValueBytes)
 			seed.Bytes(val)
 			ks.tdb.Put(key, val)
 			ks.keys = append(ks.keys, key)
@@ -197,7 +188,7 @@ func (f *Fleet) runKVDB(dayRNG *xrand.RNG, st *DayStats) {
 		f.kvRebindRepaired(ks)
 		for w := 0; w < kcfg.WritesPerDay; w++ {
 			key := ks.keys[rng.Intn(len(ks.keys))]
-			val := make([]byte, kcfg.ValueBytes)
+			val := make([]byte, kvValueBytes)
 			rng.Bytes(val)
 			ks.tdb.Put(key, val)
 		}

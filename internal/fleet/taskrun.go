@@ -32,25 +32,14 @@ type TaskRunConfig struct {
 	// mercurial cores.
 	Tasks int `scn:"tasks"`
 	// GranulesPerTask is the checkpoint granularity (default 3); the
-	// granules cycle through the screening corpus.
+	// granules cycle through the screening corpus. Retries and the
+	// per-core escalation floor are taskrun.Config's defaults.
 	GranulesPerTask int `scn:"granules_per_task"`
-	// MaxRetries bounds re-executions per granule (default 3).
-	MaxRetries int `scn:"max_retries"`
-	// DivergenceThreshold is the per-core escalation floor (default 2).
-	DivergenceThreshold int `scn:"divergence_threshold"`
-	// Paranoid enables DMR-style verification of every granule.
-	Paranoid bool `scn:"paranoid"`
 }
 
 func (c TaskRunConfig) withDefaults() TaskRunConfig {
 	if c.GranulesPerTask <= 0 {
 		c.GranulesPerTask = 3
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.DivergenceThreshold <= 0 {
-		c.DivergenceThreshold = 2
 	}
 	return c
 }
@@ -58,11 +47,7 @@ func (c TaskRunConfig) withDefaults() TaskRunConfig {
 // buildTaskRun constructs the supervisor during newFleet. Only called when
 // the phase is enabled, so the master RNG is untouched otherwise.
 func (f *Fleet) buildTaskRun() {
-	tcfg := f.cfg.TaskRun.withDefaults()
 	sup, err := taskrun.NewSupervisor(f.cluster, f.coreFor, taskrun.Config{
-		MaxRetries:          tcfg.MaxRetries,
-		DivergenceThreshold: tcfg.DivergenceThreshold,
-		Paranoid:            tcfg.Paranoid,
 		// Signals are buffered and merged at the end of the phase.
 		Sink:    f.bufferSignal,
 		Metrics: f.obs,

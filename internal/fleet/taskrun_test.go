@@ -99,13 +99,12 @@ func TestTaskRunDisabledForksNothing(t *testing.T) {
 }
 
 // TestTaskRunPhaseFeedsQuarantine checks escalation reaches the report
-// path: with the divergence threshold at 1, a task failing on its pinned
-// deterministic defect site emits a suspect signal the same day.
+// path at the default divergence threshold of 2: one task per defect
+// site, plus four that come back to the four deterministic sites, fail
+// twice on each of them and emit suspect signals.
 func TestTaskRunPhaseFeedsQuarantine(t *testing.T) {
-	cfg := trTestConfig()
-	cfg.TaskRun.Tasks = 4
-	cfg.TaskRun.DivergenceThreshold = 1
-	f := newFleet(cfg)
+	f := newFleet(trTestConfig())
+	f.cfg.TaskRun.Tasks = len(f.defects) + 4
 	injectDeterministic(f, 4)
 	var signals, reports int
 	for d := 0; d < 5; d++ {

@@ -272,8 +272,8 @@ func (f *Fleet) runSite(j *siteJob, r *siteResult, online *screen.Online, now si
 		r.active = true
 		lambda := j.lambda
 		// Cap: a core cannot corrupt more ops than it executes.
-		if max := f.cfg.DailyOpsPerCore; lambda > max {
-			lambda = max
+		if lambda > dailyOpsPerCore {
+			lambda = dailyOpsPerCore
 		}
 		var n int64
 		if lambda > 1e6 {
@@ -306,15 +306,12 @@ func (f *Fleet) runSite(j *siteJob, r *siteResult, online *screen.Online, now si
 // emitSignals converts one site's daily outcomes into rate-limited signal
 // and investigation buffers.
 func (f *Fleet) emitSignals(site *DefectSite, r *siteResult, now simtime.Time, rng *xrand.RNG) {
-	budget := f.cfg.MaxSignalsPerCoreDay
-	if budget <= 0 {
-		budget = 10
-	}
+	budget := maxSignalsPerCoreDay
 	emit := func(kind detect.SignalKind, count int64) {
 		for i := int64(0); i < count && budget > 0; i++ {
 			budget--
 			core := site.Core
-			if !rng.Bernoulli(f.cfg.PCoreAttribution) {
+			if !rng.Bernoulli(pCoreAttribution) {
 				core = -1 // machine-level attribution only
 			}
 			r.signals = append(r.signals, detect.Signal{
@@ -332,7 +329,7 @@ func (f *Fleet) emitSignals(site *DefectSite, r *siteResult, now simtime.Time, r
 	investigations := rng.Binomial(int(min64(detected, 50)), f.cfg.UserReportFraction)
 	for i := 0; i < investigations; i++ {
 		coreIdx := site.Core
-		if !rng.Bernoulli(f.cfg.PCoreAttribution) {
+		if !rng.Bernoulli(pCoreAttribution) {
 			coreIdx = rng.Intn(f.cfg.CoresPerMachine) // wrong core fingered
 		}
 		r.invs = append(r.invs, invRequest{machine: site.Machine, core: coreIdx})

@@ -26,6 +26,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"DB.Put same length", "in-place overwrite and index-set reuse", 0, func() { db.Put("k", same()) }},
 		{"DB.Get", "typed corrupt error and stack scratch: only the returned bytes", 1, func() { _, _ = db.Get("k") }},
 		{"TolerantDB.Put same length", "cached metric handles over the raw write", 0, func() { tdb.Put("k", same()) }},
+		{"TolerantDB.Get clean read", "DB.Get's budget: the clean path adds nothing over the raw read", 1, func() { _, _ = tdb.Get("k") }},
 	} {
 		if got := testing.AllocsPerRun(200, c.run); got > c.budget {
 			t.Errorf("%s allocates %v per call, budget %v (earned by %s)", c.name, got, c.budget, c.earnedBy)

@@ -51,11 +51,11 @@ func (m Mode) String() string {
 type Policy struct {
 	Mode Mode
 	// MinScore gates action on the suspect's detection score.
-	MinScore float64 `scn:"min_score"`
+	MinScore float64
 	// RequireConfession runs the deep screen before isolating; this
 	// bounds false-positive capacity loss at the price of screening
 	// cost and delay (§6's trade-off).
-	RequireConfession bool `scn:"require_confession"`
+	RequireConfession bool
 	// ConfessionConfig is the screen used for confessions; zero value
 	// means screen.Deep().
 	ConfessionConfig screen.Config

@@ -92,9 +92,9 @@ func (d *decoder) positive(m *node, what, key string, v int) {
 	}
 }
 
-// nonNegative reports key when v, its decoded value, is < 0.
-func (d *decoder) nonNegative(m *node, what, key string, v int) {
-	if v < 0 {
+// nonNegative reports key unless v, its decoded value, is >= 0.
+func (d *decoder) nonNegative(m *node, what, key string, v float64) {
+	if !(v >= 0) {
 		d.errf(m.keyLine(key), "%s.%s must be >= 0", what, key)
 	}
 }

@@ -38,7 +38,6 @@ func (s *Scenario) Compile() (fleet.Config, error) {
 		cfg.Seed = *s.Seed
 	}
 	if p := fd.Policy; p != nil {
-		cfg.Policy = p.Policy
 		if p.ModeName != "" {
 			mode, ok := policyModes[p.ModeName]
 			if !ok {
@@ -64,9 +63,6 @@ func (s *Scenario) Compile() (fleet.Config, error) {
 			cfg.Lifecycle.Pools = append(cfg.Lifecycle.Pools, p.PoolConfig)
 		}
 	}
-	if k := s.Workloads.KVDB; k != nil {
-		cfg.KVDB = k.KVDBConfig
-	}
 	if t := s.Workloads.TaskRun; t != nil {
 		cfg.TaskRun = t.TaskRunConfig
 	}
@@ -76,8 +72,8 @@ func (s *Scenario) Compile() (fleet.Config, error) {
 // Options configures one scenario run. The zero value is usable: default
 // parallelism, a private metrics registry, no trace, no observer.
 type Options struct {
-	// Parallelism overrides the scenario's worker count (0 keeps the
-	// scenario's own setting, which itself defaults to GOMAXPROCS).
+	// Parallelism is the fleet's worker count (0 = GOMAXPROCS). Results
+	// never depend on it.
 	Parallelism int
 	// Metrics receives the run's telemetry; nil allocates a private
 	// registry (assertions over metrics still work either way).
@@ -255,17 +251,13 @@ func (s *Scenario) Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	par := opts.Parallelism
-	if par == 0 {
-		par = s.Parallelism
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	ropts := []fleet.RunnerOption{fleet.WithMetrics(reg)}
-	if par > 0 {
-		ropts = append(ropts, fleet.WithParallelism(par))
+	if opts.Parallelism > 0 {
+		ropts = append(ropts, fleet.WithParallelism(opts.Parallelism))
 	}
 	if opts.Trace != nil {
 		ropts = append(ropts, fleet.WithTrace(opts.Trace))

@@ -51,14 +51,11 @@ type Scenario struct {
 	// Seed overrides the fleet seed (nil keeps the default).
 	Seed *uint64 `scn:"seed"`
 	// Days is the simulated run length.
-	Days int `scn:"days"`
-	// Parallelism is the default worker count (0 = GOMAXPROCS); the CLI
-	// -parallelism flag overrides it. Results never depend on it.
-	Parallelism int        `scn:"parallelism"`
-	Fleet       FleetDef   `scn:"fleet"`
-	Workloads   Workloads  `scn:"workloads"`
-	Events      []Event    `scn:"events,as=event"`
-	Assert      Assertions `scn:"assert"`
+	Days      int        `scn:"days"`
+	Fleet     FleetDef   `scn:"fleet"`
+	Workloads Workloads  `scn:"workloads"`
+	Events    []Event    `scn:"events,as=event"`
+	Assert    Assertions `scn:"assert"`
 }
 
 // FleetDef is the fleet section: fleet.Config's tagged knobs, decoded
@@ -73,16 +70,12 @@ type FleetDef struct {
 	Lifecycle  *LifecycleDef  `scn:"lifecycle"`
 }
 
-// PolicyDef is the quarantine policy section: quarantine.Policy's tagged
-// knobs on the fleet default, with the mode by name and the retry delay
-// in days.
+// PolicyDef is the quarantine policy section: the mode by name and the
+// retry delay in days, over the fleet default policy.
 type PolicyDef struct {
-	ModeName string `scn:"mode"` // machine-drain | core-removal | safe-tasks
-	quarantine.Policy
+	ModeName         string   `scn:"mode"` // machine-drain | core-removal | safe-tasks
 	DeclineRetryDays *float64 `scn:"decline_retry_days"`
 }
-
-func (p *PolicyDef) setDefaults() { p.Policy = fleet.DefaultConfig().Policy }
 
 // ConfessionDef tunes the deep confession screen (screen.Config's tagged
 // knobs on the fleet default).
@@ -121,11 +114,10 @@ type PoolDef struct {
 	Line int
 }
 
-// Workloads are the application phases active from day 0. The same
-// shapes can instead be switched on mid-run by start_kv_load /
-// start_taskrun events.
+// Workloads are the application phases active from day 0. Events
+// switch phases on at any day: start_taskrun, and start_kv_load, the
+// kvdb workload's only switch.
 type Workloads struct {
-	KVDB    *KVDef      `scn:"kvdb"`
 	TaskRun *TaskRunDef `scn:"taskrun"`
 }
 
@@ -282,7 +274,6 @@ func (s *Scenario) validate(d *decoder, m *node, _ string) {
 		d.errf(m.line, "scenario.name is required")
 	}
 	d.positive(m, "scenario", "days", s.Days)
-	d.nonNegative(m, "scenario", "parallelism", s.Parallelism)
 	if m.child("fleet") == nil {
 		d.errf(m.line, "scenario.fleet is required")
 	}
@@ -315,6 +306,12 @@ func (s *Scenario) validate(d *decoder, m *node, _ string) {
 func (f *FleetDef) validate(d *decoder, m *node, _ string) {
 	d.positive(m, "fleet", "machines", f.Machines)
 	d.positive(m, "fleet", "cores_per_machine", f.CoresPerMachine)
+	d.nonNegative(m, "fleet", "defects_per_machine", f.DefectsPerMachine)
+	d.nonNegative(m, "fleet", "software_bug_signals_per_machine_day", f.SoftwareBugSignalsPerMachineDay)
+	if !(f.UserReportFraction >= 0 && f.UserReportFraction <= 1) {
+		d.errf(m.keyLine("user_report_fraction"), "fleet.user_report_fraction must be in [0, 1]")
+	}
+	d.nonNegative(m, "fleet", "repair_after_days", float64(f.RepairAfterDays))
 }
 
 var policyModes = map[string]quarantine.Mode{
@@ -339,19 +336,17 @@ func (s *SKUDef) validate(d *decoder, m *node, _ string) {
 }
 
 func (lc *LifecycleDef) validate(d *decoder, m *node, path string) {
-	d.nonNegative(m, path, "max_repairs", lc.MaxRepairs)
-	d.nonNegative(m, path, "probation_days", lc.ProbationDays)
+	d.nonNegative(m, path, "max_repairs", float64(lc.MaxRepairs))
+	d.nonNegative(m, path, "probation_days", float64(lc.ProbationDays))
 	if d.given(m, "policy") {
 		// An explicit empty name is a typo, not a request for the default.
 		if _, err := remediate.ByName(lc.Policy); err != nil || lc.Policy == "" {
 			d.errf(m.keyLine("policy"), "fleet.lifecycle.policy %q unknown (default, escalating, swap)", lc.Policy)
 		}
 	}
-	if lc.ScoreThreshold < 0 {
-		d.errf(m.keyLine("score_threshold"), "fleet.lifecycle.score_threshold must be >= 0")
-	}
-	d.nonNegative(m, path, "max_retests", lc.MaxRetests)
-	d.nonNegative(m, path, "repair_tickets_per_pool", lc.RepairTicketsPerPool)
+	d.nonNegative(m, path, "score_threshold", lc.ScoreThreshold)
+	d.nonNegative(m, path, "max_retests", float64(lc.MaxRetests))
+	d.nonNegative(m, path, "repair_tickets_per_pool", float64(lc.RepairTicketsPerPool))
 	if d.given(m, "notify") && lc.Notify != "log" && lc.Notify != "webhook" {
 		d.errf(m.keyLine("notify"), "fleet.lifecycle.notify %q unknown (log, webhook)", lc.Notify)
 	}

@@ -118,7 +118,6 @@ func TestDecodeRoundTripValues(t *testing.T) {
 name: rt
 seed: 99
 days: 12
-parallelism: 3
 fleet:
   machines: 20
   cores_per_machine: 4
@@ -131,9 +130,9 @@ fleet:
     passes: 10
     max_ops: 1000000
 workloads:
-  kvdb:
-    stores: 2
-    replicas: 5
+  taskrun:
+    tasks: 2
+    granules_per_task: 5
 events:
   - day: 1
     inject_defect:
@@ -157,7 +156,7 @@ assert:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Seed == nil || *s.Seed != 99 || s.Days != 12 || s.Parallelism != 3 {
+	if s.Seed == nil || *s.Seed != 99 || s.Days != 12 {
 		t.Errorf("header: %+v", s)
 	}
 	if s.Fleet.RepairAfterDays != 7 {
@@ -167,8 +166,8 @@ assert:
 		s.Fleet.Policy.DeclineRetryDays == nil || *s.Fleet.Policy.DeclineRetryDays != 5 {
 		t.Errorf("policy: %+v", s.Fleet.Policy)
 	}
-	if s.Workloads.KVDB == nil || s.Workloads.KVDB.Stores != 2 || s.Workloads.KVDB.Replicas != 5 {
-		t.Errorf("kvdb: %+v", s.Workloads.KVDB)
+	if s.Workloads.TaskRun == nil || s.Workloads.TaskRun.Tasks != 2 || s.Workloads.TaskRun.GranulesPerTask != 5 {
+		t.Errorf("taskrun: %+v", s.Workloads.TaskRun)
 	}
 	if len(s.Events) != 2 {
 		t.Fatalf("events: %d", len(s.Events))
@@ -190,7 +189,7 @@ assert:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Seed != 99 || cfg.Machines != 20 || cfg.RepairAfterDays != 7 || cfg.KVDB.Replicas != 5 {
+	if cfg.Seed != 99 || cfg.Machines != 20 || cfg.RepairAfterDays != 7 || cfg.TaskRun.GranulesPerTask != 5 {
 		t.Errorf("compiled: %+v", cfg)
 	}
 }
