@@ -319,7 +319,6 @@ var keptUnset = map[string]string{
 	"cmd/isarun -fault":              "cmd/isarun has no test yet: waits for ROADMAP item 14",
 	"cmd/isarun -max-cycles":         "cmd/isarun has no test yet: waits for ROADMAP item 14",
 	"cmd/isarun -mem":                "cmd/isarun has no test yet: waits for ROADMAP item 14",
-	"internal/fleet.Config.KVDB":     "scenarios start the kvdb phase with start_kv_load, through Fleet.StartKVLoad; the fleet kvdb tests, TestKVDBPhaseMatchesSeedGolden among them, set it from day 0",
 	"internal/fleet.Config.SoftwareBugSignalsPerMachineDay": "ROADMAP item 4's noise sweep varies it",
 	"internal/fleet.Config.UserReportFraction":              "ROADMAP item 4's noise sweep varies it",
 	"internal/scenario.InjectDef.Class":                     "inject_defect's catalog path (Fleet.InjectDefectClass); only the testdata/invalid fixtures set it, to pin its checks",

@@ -39,6 +39,8 @@ assert:
 		{"run", []string{"run", "../../scenarios/quickstart.yaml"}, 0, "assertions: all passed\n"},
 		{"run traced", []string{"run", "-trace", filepath.Join(traced, "t.jsonl"), "-metrics", filepath.Join(traced, "m.prom"),
 			"../../scenarios/quickstart.yaml"}, 0, "trace self-check: detection report derived from trace matches ground truth\n"},
+		{"run traced with no defective core", []string{"run", "-trace", filepath.Join(traced, "pool.jsonl"),
+			"../../scenarios/pool-drain-budget.yaml"}, 0, "trace self-check: detection report derived from trace matches ground truth\n"},
 		{"run with an unmet assertion", []string{"run", unmet}, 1, ""},
 		{"validate the corpus", append([]string{"validate"}, glob(t, "../../scenarios/*.yaml")...), 0, "ok\t"},
 		{"validate counts every assertion kind", []string{"validate",

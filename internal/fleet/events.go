@@ -217,10 +217,11 @@ func (f *Fleet) SetOperatingPoint(pt fault.OperatingPoint) {
 	}
 }
 
-// StartKVLoad switches the tolerant key-value workload phase on mid-run.
-// The stores fork their streams from the master RNG at the call, so a
-// given start day yields the same stores at any parallelism. Starting
-// while a KV load is active is an error; stop the old one first.
+// StartKVLoad switches the tolerant key-value workload phase on; it is
+// the phase's one switch, at day 0 or mid-run. The stores fork their
+// streams from the master RNG at the call, so a given start day yields
+// the same stores at any parallelism. Starting while a KV load is active
+// is an error; stop the old one first.
 func (f *Fleet) StartKVLoad(cfg KVDBConfig) error {
 	if len(f.kvStores) > 0 {
 		return fmt.Errorf("fleet: kv load already running")
@@ -228,7 +229,7 @@ func (f *Fleet) StartKVLoad(cfg KVDBConfig) error {
 	if cfg.Stores <= 0 {
 		return fmt.Errorf("fleet: kv load needs stores > 0")
 	}
-	f.cfg.KVDB = cfg
+	f.kvCfg = cfg.withDefaults()
 	f.buildKVStores()
 	return nil
 }
@@ -236,13 +237,14 @@ func (f *Fleet) StartKVLoad(cfg KVDBConfig) error {
 // StopKVLoad tears the KV workload phase down; stopping when none is
 // running is a no-op.
 func (f *Fleet) StopKVLoad() {
+	f.kvCfg = KVDBConfig{}
 	f.kvStores = nil
 	f.kvAvoid = nil
-	f.cfg.KVDB = KVDBConfig{}
 }
 
-// StartTaskRun switches the checkpoint/retry batch workload phase on
-// mid-run. Starting while one is active is an error.
+// StartTaskRun switches the checkpoint/retry batch workload phase on; it
+// is the phase's one switch, at day 0 or mid-run. Starting while one is
+// active is an error.
 func (f *Fleet) StartTaskRun(cfg TaskRunConfig) error {
 	if f.taskSup != nil {
 		return fmt.Errorf("fleet: taskrun workload already running")
@@ -250,7 +252,7 @@ func (f *Fleet) StartTaskRun(cfg TaskRunConfig) error {
 	if cfg.Tasks <= 0 {
 		return fmt.Errorf("fleet: taskrun workload needs tasks > 0")
 	}
-	f.cfg.TaskRun = cfg
+	f.taskCfg = cfg.withDefaults()
 	f.buildTaskRun()
 	return nil
 }
@@ -258,6 +260,6 @@ func (f *Fleet) StartTaskRun(cfg TaskRunConfig) error {
 // StopTaskRun tears the batch workload phase down; stopping when none is
 // running is a no-op.
 func (f *Fleet) StopTaskRun() {
+	f.taskCfg = TaskRunConfig{}
 	f.taskSup = nil
-	f.cfg.TaskRun = TaskRunConfig{}
 }

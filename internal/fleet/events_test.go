@@ -32,7 +32,7 @@ func hotDefect(bit uint) fault.Defect {
 }
 
 func TestInjectDefectValidation(t *testing.T) {
-	f := newFleet(eventTestConfig())
+	f := newFleet(eventTestConfig(), nil)
 	if err := f.InjectDefect("nope", 0, hotDefect(1)); err == nil {
 		t.Error("bad machine id accepted")
 	}
@@ -54,7 +54,7 @@ func TestInjectDefectValidation(t *testing.T) {
 }
 
 func TestInjectedDefectCorruptsAndOnsetDelays(t *testing.T) {
-	f := newFleet(eventTestConfig())
+	f := newFleet(eventTestConfig(), nil)
 	if err := f.InjectDefect("m00004", 1, hotDefect(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestInjectedDefectCorruptsAndOnsetDelays(t *testing.T) {
 }
 
 func TestDrainSuspendsAndUndrainResumes(t *testing.T) {
-	f := newFleet(eventTestConfig())
+	f := newFleet(eventTestConfig(), nil)
 	if err := f.InjectDefect("m00006", 3, hotDefect(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDrainSuspendsAndUndrainResumes(t *testing.T) {
 }
 
 func TestSetOperatingPointChangesRates(t *testing.T) {
-	f := newFleet(eventTestConfig())
+	f := newFleet(eventTestConfig(), nil)
 	cold := fault.Defect{
 		Unit:     fault.UnitALU,
 		Kind:     fault.CorruptBitFlip,
@@ -144,7 +144,7 @@ func TestRepairedSiteStopsCorrupting(t *testing.T) {
 	cfg.RepairAfterDays = 5
 	cfg.Policy = quarantine.Policy{Mode: quarantine.CoreRemoval,
 		RequireConfession: true, DeclineRetry: 2 * simtime.Day}
-	f := newFleet(cfg)
+	f := newFleet(cfg, nil)
 	if err := f.InjectDefect("m00009", 6, hotDefect(13)); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRepairedSiteStopsCorrupting(t *testing.T) {
 }
 
 func TestWorkloadPhaseSwitches(t *testing.T) {
-	f := newFleet(eventTestConfig())
+	f := newFleet(eventTestConfig(), nil)
 	if err := f.StartKVLoad(KVDBConfig{Stores: 2}); err != nil {
 		t.Fatal(err)
 	}

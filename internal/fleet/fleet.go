@@ -87,14 +87,6 @@ type Config struct {
 	// several vendors, and of various ages"). Nil means one uniform SKU
 	// with no pre-aging.
 	SKUs []SKU
-	// KVDB enables the tolerant key-value-store workload phase (see
-	// kvdb.go); the zero value disables it and leaves every random
-	// stream — and therefore all existing experiment output — untouched.
-	KVDB KVDBConfig
-	// TaskRun enables the checkpoint/retry batch-workload phase (see
-	// taskrun.go); the zero value disables it and, like KVDB, consumes
-	// no randomness when disabled.
-	TaskRun TaskRunConfig
 	// Lifecycle enables the machine-lifecycle control plane (see
 	// lifecycle.go in this package and internal/lifecycle): a per-machine
 	// ledger of cordon/drain/repair/probation transitions, recidivist
@@ -303,14 +295,15 @@ type DayStats struct {
 	// yet quarantined.
 	ActiveDefects int
 	// KV* count the tolerant key-value workload's day (zero unless
-	// Config.KVDB enables the phase): reads served, different-replica
+	// StartKVLoad switched the phase on): reads served, different-replica
 	// retries, read-repair heals, degraded (no-majority) serves, and
 	// client-visible errors.
 	KVReads, KVRetries, KVRepairs, KVDegraded, KVErrors int
 	// TR* count the checkpoint/retry workload's day (zero unless
-	// Config.TaskRun enables the phase): granules committed, granule
+	// StartTaskRun switched the phase on): granules committed, granule
 	// re-executions, placements migrated, checkpoint restores, suspect
-	// signals escalated, and tasks that exhausted their retries.
+	// signals escalated, and tasks that failed (a granule out of retries,
+	// or no core to place the task on).
 	TRGranules, TRRetries, TRMigrations, TRRestores, TRSignals, TRFailures int
 	// Life* count the machine-lifecycle ledger's day (zero unless
 	// Config.Lifecycle enables the control plane): machines cordoned,
@@ -390,9 +383,10 @@ type Fleet struct {
 	// userSeen dedups human investigations per machine: production
 	// humans investigate a suspect machine once, not per incident.
 	userSeen map[string]bool
-	// Observability sinks (optional; set by NewRunner). Both are
-	// written only from serial phases or via lock-free instruments, so
-	// they never perturb the determinism contract.
+	// Observability sinks (optional; obs is bound by newFleet, trace by
+	// NewRunner). Both are written only from serial phases or via
+	// lock-free instruments, so they never perturb the determinism
+	// contract.
 	obs   *obs.Registry
 	trace *obs.Trace
 	// sigSeen and nominated dedup the lifecycle trace's first-signal and
@@ -404,12 +398,16 @@ type Fleet struct {
 	// taskrun sinks, noise, user reports) until the phase hands them to
 	// merge; it is empty between phases.
 	signals []detect.Signal
-	// kvdb workload state (see kvdb.go); empty unless Config.KVDB enables
-	// the phase. kvAvoid caches the day's high-score suspect cores.
+	// kvdb workload state (see kvdb.go): the phase's config (defaults
+	// applied) and stores, both zero unless StartKVLoad switched it on.
+	// kvAvoid caches the day's high-score suspect cores.
+	kvCfg    KVDBConfig
 	kvStores []*kvStore
 	kvAvoid  map[sched.CoreRef]bool
-	// taskrun workload state (see taskrun.go); nil unless Config.TaskRun
-	// enables the phase.
+	// taskrun workload state (see taskrun.go): the phase's config
+	// (defaults applied) and supervisor, both zero unless StartTaskRun
+	// switched it on.
+	taskCfg TaskRunConfig
 	taskSup *taskrun.Supervisor
 	// point is the fleet-wide operating point (see SetOperatingPoint);
 	// materialized cores carry their own copy.
@@ -438,8 +436,12 @@ type Fleet struct {
 }
 
 // newFleet builds the fleet population deterministically from cfg, which
-// NewRunner has validated.
-func newFleet(cfg Config) *Fleet {
+// NewRunner has validated, and routes the whole stack's telemetry — per-
+// phase wall time, report-service counters, screening passes, quarantine
+// and lifecycle ledger transitions, the workload phases — into reg (nil
+// records nothing). Metrics never affect simulation results: recording
+// consumes no randomness and changes no control flow.
+func newFleet(cfg Config, reg *obs.Registry) *Fleet {
 	// The quarantine manager picks its confession screen from the
 	// policy; default it to the fleet's (cheap) confession config so
 	// daily suspect processing does not run full deep screens.
@@ -460,8 +462,11 @@ func newFleet(cfg Config) *Fleet {
 		userSeen:    map[string]bool{},
 		sigSeen:     map[sched.CoreRef]bool{},
 		nominated:   map[sched.CoreRef]bool{},
+		obs:         reg,
 	}
+	f.server.SetMetrics(reg)
 	f.manager = quarantine.NewManager(f.cluster, cfg.Policy)
+	f.manager.Metrics = reg
 	popRNG := f.rng.ForkString("population")
 	skus := cfg.SKUs
 	if len(skus) == 0 {
@@ -516,39 +521,13 @@ func newFleet(cfg Config) *Fleet {
 		}
 		f.machines = append(f.machines, m)
 	}
-	// The control plane consumes no randomness; order relative to the
-	// workload builds below is immaterial.
+	// The control plane consumes no randomness.
 	f.buildLifecycle()
-	// The opt-in workloads build last so their streams fork after the
-	// population's; disabled (the default), they fork nothing.
-	if cfg.KVDB.Stores > 0 {
-		f.buildKVStores()
-	}
-	if cfg.TaskRun.Tasks > 0 {
-		f.buildTaskRun()
-	}
 	return f
 }
 
 // Config returns the fleet's configuration.
 func (f *Fleet) Config() Config { return f.cfg }
-
-// setMetrics routes the whole stack's telemetry — per-phase wall time,
-// report-service counters, screening passes, quarantine ledger
-// transitions — into one shared registry. Call before the first Step.
-// Metrics never affect simulation results: nothing here consumes
-// randomness or changes control flow.
-func (f *Fleet) setMetrics(reg *obs.Registry) {
-	f.obs = reg
-	f.server.SetMetrics(reg)
-	f.manager.Metrics = reg
-	for _, ks := range f.kvStores {
-		ks.tdb.SetMetrics(reg)
-	}
-	if f.taskSup != nil {
-		f.taskSup.SetMetrics(reg)
-	}
-}
 
 // Defects returns the ground-truth defect sites.
 func (f *Fleet) Defects() []*DefectSite { return f.defects }

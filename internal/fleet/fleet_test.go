@@ -28,7 +28,7 @@ func TestPopulationIncidence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Machines = 5000
 	cfg.CoresPerMachine = 8
-	f := newFleet(cfg)
+	f := newFleet(cfg, nil)
 	// "A few mercurial cores per several thousand machines": expected
 	// 0.002 * 5000 = 10 defective cores.
 	n := len(f.Defects())
@@ -52,8 +52,8 @@ func TestPopulationIncidence(t *testing.T) {
 }
 
 func TestPopulationDeterministic(t *testing.T) {
-	a := newFleet(testConfig())
-	b := newFleet(testConfig())
+	a := newFleet(testConfig(), nil)
+	b := newFleet(testConfig(), nil)
 	if len(a.Defects()) != len(b.Defects()) {
 		t.Fatal("population not deterministic")
 	}
@@ -239,7 +239,7 @@ func TestScreenCorpusGrows(t *testing.T) {
 	cfg := testConfig()
 	cfg.InitialCorpus = 3
 	cfg.CorpusGrowEveryDays = 10
-	f := newFleet(cfg)
+	f := newFleet(cfg, nil)
 	if got := f.screenCorpusSize(0); got != 3 {
 		t.Fatalf("day 0 corpus = %d", got)
 	}
@@ -255,7 +255,7 @@ func TestScreenCorpusGrowthDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.InitialCorpus = 0
 	cfg.CorpusGrowEveryDays = 0
-	f := newFleet(cfg)
+	f := newFleet(cfg, nil)
 	if got := f.screenCorpusSize(50); got != len(f.allWork) {
 		t.Fatalf("corpus = %d", got)
 	}
@@ -304,7 +304,7 @@ func TestTrendSlope(t *testing.T) {
 }
 
 func TestSplitOutcomesSumsAndProbabilities(t *testing.T) {
-	f := newFleet(testConfig())
+	f := newFleet(testConfig(), nil)
 	rng := f.rng.Fork(1)
 	var totals [numOutcomes]int64
 	const trials = 500
@@ -345,7 +345,7 @@ func TestOutcomeString(t *testing.T) {
 }
 
 func TestMachineByID(t *testing.T) {
-	f := newFleet(testConfig())
+	f := newFleet(testConfig(), nil)
 	if m := f.machineByID("m00037"); m.ID != "m00037" {
 		t.Fatalf("machineByID = %s", m.ID)
 	}
@@ -365,7 +365,7 @@ func TestPatternFraction(t *testing.T) {
 
 func BenchmarkFleetDay(b *testing.B) {
 	cfg := testConfig()
-	f := newFleet(cfg)
+	f := newFleet(cfg, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Step()
@@ -380,7 +380,7 @@ func TestSKUPopulationShapes(t *testing.T) {
 		{Name: "noisy", Fraction: 0.3, DefectMultiplier: 3},
 		{Name: "aged", Fraction: 0.2, DefectMultiplier: 1, PreAgeDays: 1000},
 	}
-	f := newFleet(cfg)
+	f := newFleet(cfg, nil)
 	counts := map[string]int{}
 	for _, id := range f.Cluster().Machines() {
 		counts[f.MachineSKU(id)]++
@@ -408,7 +408,7 @@ func TestSKUPreAgingActivatesLatentDefects(t *testing.T) {
 	old.SKUs = []SKU{{Name: "old", Fraction: 1, DefectMultiplier: 1, PreAgeDays: 2000}}
 
 	countActive := func(cfg Config) (active, total int) {
-		f := newFleet(cfg)
+		f := newFleet(cfg, nil)
 		for _, d := range f.Defects() {
 			total++
 			if d.FirstActive == 0 {
@@ -439,7 +439,7 @@ func TestDefaultSKUBackwardCompatible(t *testing.T) {
 			t.Fatal("nil-SKU runs diverge")
 		}
 	}
-	f := newFleet(testConfig())
+	f := newFleet(testConfig(), nil)
 	if f.MachineSKU("m00000") != "default" {
 		t.Fatalf("default SKU = %q", f.MachineSKU("m00000"))
 	}
@@ -504,7 +504,7 @@ func TestRepairDisabledByDefault(t *testing.T) {
 func TestReplaceSiliconReleasesEveryRecord(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = quarantine.Policy{Mode: quarantine.MachineDrain}
-	f := newFleet(cfg)
+	f := newFleet(cfg, nil)
 	var m *Machine
 	for _, cand := range f.machines {
 		if len(cand.Defective) == 0 {

@@ -9,11 +9,11 @@ package fleet
 // selection reroutes subsequent reads — client-visible errors drop to zero
 // while the defect is still physically present.
 //
-// The phase is disabled by default (Config.KVDB.Stores == 0) and consumes
-// no randomness when disabled, so existing experiment outputs are
-// bit-identical. When enabled it runs serially (phase 3b), after the site
-// merge and before noise, so its signals reach the tracker the same day
-// and every stream it forks is ordered deterministically.
+// The phase is off until StartKVLoad switches it on, and consumes no
+// randomness while off, so existing experiment outputs are bit-identical.
+// When on it runs serially (phase 3b), after the site merge and before
+// noise, so its signals reach the tracker the same day and every stream
+// it forks is ordered deterministically.
 
 import (
 	"fmt"
@@ -27,7 +27,7 @@ import (
 
 // KVDBConfig parameterizes the optional kvdb-workload day phase.
 type KVDBConfig struct {
-	// Stores is the number of simulated stores; 0 disables the phase.
+	// Stores is the number of simulated stores (at least 1).
 	// Store k's first replica is served by defect site k (when one
 	// exists), so the workload exercises real mercurial cores.
 	Stores int `scn:"stores"`
@@ -85,10 +85,10 @@ type kvStore struct {
 	last kvdb.TolerantStats
 }
 
-// buildKVStores constructs the stores during newFleet. Only called when the
-// phase is enabled, so the master RNG is untouched otherwise.
+// buildKVStores constructs the stores when StartKVLoad switches the phase
+// on, so the master RNG is untouched otherwise.
 func (f *Fleet) buildKVStores() {
-	kcfg := f.cfg.KVDB.withDefaults()
+	kcfg := f.kvCfg
 	krng := f.rng.ForkString("kvdb")
 	for s := 0; s < kcfg.Stores; s++ {
 		ks := &kvStore{id: fmt.Sprintf("kv%03d", s)}
@@ -173,7 +173,7 @@ func (f *Fleet) kvHealth(machine string, core int) bool {
 // runKVDB is phase 3b: the day's store workload. Serial — every fork is
 // ordered, every signal lands in the batch buffer in store order.
 func (f *Fleet) runKVDB(dayRNG *xrand.RNG, st *DayStats) {
-	kcfg := f.cfg.KVDB.withDefaults()
+	kcfg := f.kvCfg
 
 	// Refresh the pre-quarantine avoidance cache from today's nominations.
 	f.kvAvoid = map[sched.CoreRef]bool{}

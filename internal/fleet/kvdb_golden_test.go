@@ -20,14 +20,8 @@ func TestKVDBPhaseMatchesSeedGolden(t *testing.T) {
 	}
 	for stores, want := range golden {
 		for _, par := range []int{1, 4} {
-			cfg := kvTestConfig()
-			cfg.KVDB.Stores = stores
-			r, err := NewRunner(cfg, WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
 			h := fnv.New64a()
-			for _, d := range r.Run(8) {
+			for _, d := range kvTestRunner(t, par, stores).Run(8) {
 				fmt.Fprintf(h, "%+v\n", d)
 			}
 			if got := h.Sum64(); got != want {

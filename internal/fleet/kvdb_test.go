@@ -5,24 +5,32 @@ import (
 	"testing"
 )
 
-// kvTestConfig is a small defect-dense fleet with the kvdb workload on.
+// kvTestConfig is a small defect-dense fleet.
 func kvTestConfig() Config {
 	cfg := testConfig()
 	cfg.Machines = 120
 	cfg.CoresPerMachine = 8
 	cfg.DefectsPerMachine = 0.1
-	cfg.KVDB = KVDBConfig{Stores: 3, ReadsPerDay: 32, WritesPerDay: 2}
 	return cfg
 }
 
-func TestKVDBPhaseDeterministicAcrossParallelism(t *testing.T) {
-	run := func(par int) []DayStats {
-		r, err := NewRunner(kvTestConfig(), WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Run(8)
+// kvTestRunner builds the kvTestConfig fleet at parallelism par and
+// starts a kvdb workload of the given number of stores before its first
+// Step.
+func kvTestRunner(t *testing.T, par, stores int) *Runner {
+	t.Helper()
+	r, err := NewRunner(kvTestConfig(), WithParallelism(par))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := r.Fleet().StartKVLoad(KVDBConfig{Stores: stores, ReadsPerDay: 32, WritesPerDay: 2}); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestKVDBPhaseDeterministicAcrossParallelism(t *testing.T) {
+	run := func(par int) []DayStats { return kvTestRunner(t, par, 3).Run(8) }
 	serial := run(1)
 	parallel := run(4)
 	if !reflect.DeepEqual(serial, parallel) {
@@ -39,14 +47,10 @@ func TestKVDBPhaseDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestKVDBDisabledForksNothing(t *testing.T) {
-	// The phase must be invisible when off: identical seeds with and
-	// without the KVDB field untouched produce identical telemetry.
-	base := testConfig()
-	base.Machines = 120
-	base.CoresPerMachine = 8
-	base.DefectsPerMachine = 0.1
-	a := newTestRunner(t, base).Run(5)
-	b := newTestRunner(t, base).Run(5)
+	// The phase must be invisible until StartKVLoad: identical seeds
+	// produce identical telemetry with every kv counter at zero.
+	a := newTestRunner(t, kvTestConfig()).Run(5)
+	b := newTestRunner(t, kvTestConfig()).Run(5)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("baseline run not reproducible")
 	}

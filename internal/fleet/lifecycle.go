@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"repro/internal/lifecycle"
-	"repro/internal/obs"
 	"repro/internal/remediate"
 )
 
@@ -70,7 +69,7 @@ func (f *Fleet) buildLifecycle() {
 	f.probation = map[string]int{}
 	f.retests = map[string]int{}
 	f.lifeNotify = cfg.Notifier
-	opts := lifecycle.Options{MaxRepairs: cfg.MaxRepairs, Observer: f.lifeObserve, FS: cfg.FS}
+	opts := lifecycle.Options{MaxRepairs: cfg.MaxRepairs, Observer: f.lifeObserve, FS: cfg.FS, Metrics: f.obs}
 	if cfg.WALPath == "" {
 		f.life = lifecycle.NewManager(opts)
 	} else {
@@ -118,9 +117,10 @@ func (f *Fleet) buildPolicy() {
 func (f *Fleet) Lifecycle() *lifecycle.Manager { return f.life }
 
 // lifeObserve is the manager's record observer: it tallies the day's
-// counters for DayStats, mirrors them into the metrics registry, and
-// forwards every record to the configured notifier. It runs inside the
-// manager's lock but only ever from the fleet's own serial phases.
+// counters for DayStats (the manager counts the registry's lifecycle_*
+// series itself) and forwards every record to the configured notifier.
+// It runs inside the manager's lock but only ever from the fleet's own
+// serial phases.
 func (f *Fleet) lifeObserve(t lifecycle.Transition) {
 	switch t.Kind {
 	case lifecycle.KindDefer:
@@ -148,9 +148,6 @@ func (f *Fleet) lifeObserve(t lifecycle.Transition) {
 			// Both count as "coming back toward service": repair completion
 			// lands in probation, releases and exonerations land in healthy.
 			f.lifePending.reintroduced++
-		}
-		if f.obs != nil {
-			f.obs.Counter("lifecycle_transitions_total", obs.L("to", t.To)).Inc()
 		}
 	}
 	if f.lifeNotify != nil {

@@ -177,7 +177,7 @@ func TestLifecycleDeterministicAcrossParallelism(t *testing.T) {
 
 func TestCordonReleaseEvents(t *testing.T) {
 	cfg := lifecycleConfig()
-	f := newFleet(cfg)
+	f := newFleet(cfg, nil)
 	const id = "m00003"
 	if err := f.CordonMachine(id); err != nil {
 		t.Fatalf("CordonMachine: %v", err)
@@ -206,7 +206,7 @@ func TestCordonReleaseEvents(t *testing.T) {
 	}
 
 	// The verbs also work with the control plane off — pure sched effect.
-	plain := newFleet(testConfig())
+	plain := newFleet(testConfig(), nil)
 	if err := plain.CordonMachine(id); err != nil {
 		t.Fatalf("cordon without lifecycle: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestCordonReleaseEvents(t *testing.T) {
 }
 
 func TestMaintenanceDrainUpdatesLedger(t *testing.T) {
-	f := newFleet(lifecycleConfig())
+	f := newFleet(lifecycleConfig(), nil)
 	const id = "m00011"
 	if err := f.DrainMachine(id); err != nil {
 		t.Fatal(err)

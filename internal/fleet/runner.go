@@ -22,7 +22,6 @@ import (
 type Runner struct {
 	fleet     *Fleet
 	observers []func(DayStats)
-	metrics   *obs.Registry
 	// day holds the fleet_* instrument handles, resolved once at
 	// construction: recordDay runs every simulated day and each registry
 	// lookup takes the registry mutex, so per-day lookups were pure
@@ -143,17 +142,14 @@ func NewRunner(cfg Config, opts ...RunnerOption) (*Runner, error) {
 			return nil, err
 		}
 	}
-	f := newFleet(cfg)
+	f := newFleet(cfg, o.metrics)
 	if o.parallelism > 0 {
 		f.parallelism = o.parallelism
-	}
-	if o.metrics != nil {
-		f.setMetrics(o.metrics)
 	}
 	if o.trace != nil {
 		f.trace = o.trace
 	}
-	r := &Runner{fleet: f, metrics: o.metrics}
+	r := &Runner{fleet: f}
 	if o.metrics != nil {
 		r.day = newDayInstruments(o.metrics)
 		// The per-day counter observer runs first, before user observers,

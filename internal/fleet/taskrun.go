@@ -8,9 +8,9 @@ package fleet
 // and — past the per-core divergence threshold — escalate core-attributed
 // signals into the same report server the production and kvdb paths feed.
 //
-// Like the kvdb phase, it is disabled by default (Config.TaskRun.Tasks ==
-// 0) and consumes no randomness when disabled, so existing experiment
-// outputs stay bit-identical. Enabled, it runs serially (phase 3c, after
+// Like the kvdb phase, it is off until StartTaskRun switches it on and
+// consumes no randomness while off, so existing experiment outputs stay
+// bit-identical. On, it runs serially (phase 3c, after
 // kvdb, before noise): every RNG fork is ordered and every signal lands
 // in the batch buffer in task order, preserving bit-identical output at
 // any parallelism.
@@ -26,8 +26,8 @@ import (
 // TaskRunConfig parameterizes the optional checkpoint/retry workload
 // phase.
 type TaskRunConfig struct {
-	// Tasks is the number of supervised tasks run per day; 0 disables
-	// the phase. Task k's first placement is pinned to defect site k mod
+	// Tasks is the number of supervised tasks run per day (at least 1).
+	// Task k's first placement is pinned to defect site k mod
 	// sites (when one is schedulable), so the runtime meets real
 	// mercurial cores.
 	Tasks int `scn:"tasks"`
@@ -44,8 +44,8 @@ func (c TaskRunConfig) withDefaults() TaskRunConfig {
 	return c
 }
 
-// buildTaskRun constructs the supervisor during newFleet. Only called when
-// the phase is enabled, so the master RNG is untouched otherwise.
+// buildTaskRun constructs the supervisor when StartTaskRun switches the
+// phase on. It consumes no randomness.
 func (f *Fleet) buildTaskRun() {
 	sup, err := taskrun.NewSupervisor(f.cluster, f.coreFor, taskrun.Config{
 		// Signals are buffered and merged at the end of the phase.
@@ -78,7 +78,7 @@ func (f *Fleet) taskrunStart(t int) *sched.CoreRef {
 // every fork is ordered and every signal lands in the buffer in task
 // order.
 func (f *Fleet) runTaskRun(dayRNG *xrand.RNG, st *DayStats) {
-	tcfg := f.cfg.TaskRun.withDefaults()
+	tcfg := f.taskCfg
 	before := f.taskSup.Stats()
 	for t := 0; t < tcfg.Tasks; t++ {
 		id := fmt.Sprintf("tr-d%04d-t%03d", st.Day, t)

@@ -8,16 +8,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// trTestConfig is a small defect-dense fleet with the taskrun workload
-// on. Two granules per task keeps the corpus cost of 8 simulated days
-// manageable while still exercising multi-granule checkpointing.
-func trTestConfig() Config {
-	cfg := testConfig()
-	cfg.Machines = 120
-	cfg.CoresPerMachine = 8
-	cfg.DefectsPerMachine = 0.1
-	cfg.TaskRun = TaskRunConfig{Tasks: 3, GranulesPerTask: 2}
-	return cfg
+// startTestTaskRun starts the taskrun workload on f: tasks per day, two
+// granules each, which keeps the corpus cost of 8 simulated days on the
+// kvTestConfig fleet manageable while still exercising multi-granule
+// checkpointing.
+func startTestTaskRun(t *testing.T, f *Fleet, tasks int) {
+	t.Helper()
+	if err := f.StartTaskRun(TaskRunConfig{Tasks: tasks, GranulesPerTask: 2}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // injectDeterministic gives the first n defect sites an always-on ALU
@@ -43,10 +42,11 @@ func injectDeterministic(f *Fleet, n int) {
 
 func TestTaskRunPhaseDeterministicAcrossParallelism(t *testing.T) {
 	run := func(par int) []DayStats {
-		r, err := NewRunner(trTestConfig(), WithParallelism(par))
+		r, err := NewRunner(kvTestConfig(), WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}
+		startTestTaskRun(t, r.Fleet(), 3)
 		injectDeterministic(r.Fleet(), 3)
 		return r.Run(8)
 	}
@@ -78,15 +78,10 @@ func TestTaskRunPhaseDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestTaskRunDisabledForksNothing(t *testing.T) {
-	// The phase must be invisible when off: identical seeds with the
-	// TaskRun field untouched produce identical telemetry, and the TR
-	// counters stay zero.
-	base := testConfig()
-	base.Machines = 120
-	base.CoresPerMachine = 8
-	base.DefectsPerMachine = 0.1
-	a := newTestRunner(t, base).Run(5)
-	b := newTestRunner(t, base).Run(5)
+	// The phase must be invisible until StartTaskRun: identical seeds
+	// produce identical telemetry, and the TR counters stay zero.
+	a := newTestRunner(t, kvTestConfig()).Run(5)
+	b := newTestRunner(t, kvTestConfig()).Run(5)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("baseline run not reproducible")
 	}
@@ -103,8 +98,8 @@ func TestTaskRunDisabledForksNothing(t *testing.T) {
 // site, plus four that come back to the four deterministic sites, fail
 // twice on each of them and emit suspect signals.
 func TestTaskRunPhaseFeedsQuarantine(t *testing.T) {
-	f := newFleet(trTestConfig())
-	f.cfg.TaskRun.Tasks = len(f.defects) + 4
+	f := newFleet(kvTestConfig(), nil)
+	startTestTaskRun(t, f, len(f.defects)+4)
 	injectDeterministic(f, 4)
 	var signals, reports int
 	for d := 0; d < 5; d++ {

@@ -121,7 +121,7 @@ type TolerantConfig struct {
 	// read (the per-read health snapshot).
 	Health HealthFunc
 	// Metrics receives serving counters and histograms; nil records
-	// nothing. Replaceable later via SetMetrics.
+	// nothing.
 	Metrics *obs.Registry
 	// Now timestamps outgoing signals; nil means the zero time.
 	Now func() simtime.Time
@@ -203,7 +203,9 @@ type TolerantDB struct {
 	statsMu sync.Mutex
 	stats   TolerantStats
 	// inst caches instrument handles so the hot path skips the registry
-	// mutex; swapped wholesale by SetMetrics.
+	// mutex. NewTolerant sets it once; it stays atomic because a plain
+	// pointer measured about 3 % fewer kv-serve ops/s (bench/run.sh on
+	// 2 vCPU).
 	inst  atomic.Pointer[kvInstruments]
 	queue *signalQueue
 }
@@ -233,11 +235,6 @@ func NewTolerant(db *DB, cfg TolerantConfig) *TolerantDB {
 		t.queue = newSignalQueue(t, cfg.SignalQueue)
 	}
 	return t
-}
-
-// SetMetrics replaces the metrics registry (nil disables recording).
-func (t *TolerantDB) SetMetrics(reg *obs.Registry) {
-	t.inst.Store(newKVInstruments(reg))
 }
 
 // Flush blocks until every signal emitted so far has been delivered (or

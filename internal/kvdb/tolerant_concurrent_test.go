@@ -334,7 +334,19 @@ func TestShardedStressStatsReconcile(t *testing.T) {
 	if st.Errors != 0 {
 		t.Fatalf("client-visible errors under stress: %+v", st)
 	}
-	// The metrics registry reconciles with the stats ledger.
+	reconcileRegistry(t, reg, st)
+	// The mirrored db.Stats ledger agrees with the tolerant one.
+	if db.Stats.Reads != st.Reads || db.Stats.Writes != st.Writes {
+		t.Fatalf("db.Stats (%d reads, %d writes) diverged from tolerant (%d, %d)",
+			db.Stats.Reads, db.Stats.Writes, st.Reads, st.Writes)
+	}
+}
+
+// reconcileRegistry requires every serving counter of the stats ledger to
+// equal its metrics series, summed over labels, and the read-attempt
+// histogram to hold one observation per read.
+func reconcileRegistry(t *testing.T, reg *obs.Registry, st TolerantStats) {
+	t.Helper()
 	snap := map[string]float64{}
 	var attempts uint64
 	for _, s := range reg.Snapshot() {
@@ -344,26 +356,60 @@ func TestShardedStressStatsReconcile(t *testing.T) {
 		}
 		snap[s.Name] += s.Value
 	}
-	if got := int(snap["kvdb_writes_total"]); got != st.Writes {
-		t.Fatalf("kvdb_writes_total = %d, stats %d", got, st.Writes)
-	}
-	if got := int(snap["kvdb_reads_total"]); got != st.Reads {
-		t.Fatalf("kvdb_reads_total = %d, stats %d", got, st.Reads)
-	}
-	if got := int(snap["kvdb_read_retries_total"]); got != st.Retries {
-		t.Fatalf("kvdb_read_retries_total = %d, stats %d", got, st.Retries)
-	}
-	if got := int(snap["kvdb_signals_total"]); got != st.SignalsSent {
-		t.Fatalf("kvdb_signals_total = %d, stats %d", got, st.SignalsSent)
+	for _, c := range []struct {
+		series string
+		stat   int
+	}{
+		{"kvdb_writes_total", st.Writes},
+		{"kvdb_reads_total", st.Reads},
+		{"kvdb_read_retries_total", st.Retries},
+		{"kvdb_signals_total", st.SignalsSent},
+		{"kvdb_read_repairs_total", st.Repairs},
+		{"kvdb_degraded_serves_total", st.DegradedServes},
+		{"kvdb_read_errors_total", st.Errors},
+	} {
+		if got := int(snap[c.series]); got != c.stat {
+			t.Errorf("%s = %d, stats %d", c.series, got, c.stat)
+		}
 	}
 	if attempts != uint64(st.Reads) {
-		t.Fatalf("kvdb_read_attempts count = %d, reads %d", attempts, st.Reads)
+		t.Errorf("kvdb_read_attempts count = %d, reads %d", attempts, st.Reads)
 	}
-	// The mirrored db.Stats ledger agrees with the tolerant one.
-	if db.Stats.Reads != st.Reads || db.Stats.Writes != st.Writes {
-		t.Fatalf("db.Stats (%d reads, %d writes) diverged from tolerant (%d, %d)",
-			db.Stats.Reads, db.Stats.Writes, st.Reads, st.Writes)
+}
+
+// TestMitigationStatsReconcile drives a store through every rung of the
+// mitigation ladder the stress test never reaches — read repair, a
+// degraded (no-majority) serve and a client-visible error — and
+// reconciles those counters with the registry too. Without retries, a
+// read whose first replica fails its checksum escalates straight to
+// repair; three reads of a key start once on each replica.
+func TestMitigationStatsReconcile(t *testing.T) {
+	bad := stuckBitReplica("bad", 1)
+	g1, g2 := healthyReplica("g1", 2), healthyReplica("g2", 3)
+	db, _ := New(bad, g1, g2)
+	reg := obs.NewRegistry()
+	tdb := NewTolerant(db, TolerantConfig{MaxRetries: -1, Metrics: reg})
+	// "repair": only the stuck-bit replica is corrupt; the healthy pair
+	// outvotes it.
+	tdb.Put("repair", bit3Payload())
+	// "split": the healthy replicas hold different valid values.
+	tdb.Put("split", bit3Payload())
+	g1.apply("split", newWrite(bytes.Repeat([]byte("A"), 32)))
+	g2.apply("split", newWrite(bytes.Repeat([]byte("B"), 32)))
+	// "lost": every replica's copy fails its checksum.
+	tdb.Put("lost", bit3Payload())
+	flipStored(g1, "lost", 0, 0xFF)
+	flipStored(g2, "lost", 0, 0xFF)
+	for _, key := range []string{"repair", "split", "lost"} {
+		for i := 0; i < 3; i++ {
+			tdb.Get(key)
+		}
 	}
+	st := tdb.Stats()
+	if st.Repairs == 0 || st.DegradedServes == 0 || st.Errors == 0 {
+		t.Fatalf("ladder not exercised: %+v", st)
+	}
+	reconcileRegistry(t, reg, st)
 }
 
 // TestAsyncSignalQueueShedsAndFlushes drives the bounded async signal

@@ -452,17 +452,3 @@ func TestTolerantEndToEndLoop(t *testing.T) {
 		}
 	}
 }
-
-// TestSetMetricsRebinds pins how the fleet shares one registry: a store
-// built without one records nothing, and after SetMetrics its writes land
-// in the bound registry.
-func TestSetMetricsRebinds(t *testing.T) {
-	tdb := NewTolerant(healthyDB(t, 3), TolerantConfig{})
-	tdb.Put("k", []byte("v1"))
-	reg := obs.NewRegistry()
-	tdb.SetMetrics(reg)
-	tdb.Put("k", []byte("v2"))
-	if got := reg.Counter("kvdb_writes_total").Value(); got != 1 {
-		t.Fatalf("kvdb_writes_total = %v after one bound write, want 1", got)
-	}
-}

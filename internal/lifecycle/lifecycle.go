@@ -139,7 +139,8 @@ type Options struct {
 	// this many repair cycles, the next cordon escalates to permanent
 	// removal. 0 means the default of 2.
 	MaxRepairs int
-	// Metrics, when set, counts transitions by target state.
+	// Metrics, when set, counts transitions by target state and the
+	// deferred-drain queue's defers, undefers and admissions.
 	Metrics *obs.Registry
 	// Observer, when set, sees every applied WAL record — state
 	// transitions and the pool bookkeeping kinds — after the WAL append,

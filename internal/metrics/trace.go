@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/simtime"
@@ -17,8 +15,9 @@ import (
 // another. For a trace produced by a complete run of runDays days, the
 // result is bit-identical to Detection on the live fleet — including the
 // float64 latency values — which the fleet tests cross-check at multiple
-// worker counts.
-func DetectionFromTrace(events []obs.TraceEvent, runDays int) (DetectionReport, error) {
+// worker counts. A trace with no defect-present events is a defect-free
+// fleet's: its census is zero and every quarantine a false positive.
+func DetectionFromTrace(events []obs.TraceEvent, runDays int) DetectionReport {
 	rep := DetectionReport{}
 	now := float64(simtime.Time(runDays) * simtime.Day)
 
@@ -54,10 +53,6 @@ func DetectionFromTrace(events []obs.TraceEvent, runDays int) (DetectionReport, 
 			}
 		}
 	}
-	if rep.TotalDefective == 0 {
-		return rep, fmt.Errorf("metrics: trace has no %s events — not a fleet lifecycle trace?", obs.EventDefectPresent)
-	}
-
 	for _, q := range ledger {
 		rep.Quarantined++
 		firstActiveSec, ok := truth[q.ref]
@@ -75,5 +70,5 @@ func DetectionFromTrace(events []obs.TraceEvent, runDays int) (DetectionReport, 
 		}
 		rep.LatencyDays = append(rep.LatencyDays, latency)
 	}
-	return rep, nil
+	return rep
 }

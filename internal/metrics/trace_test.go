@@ -62,10 +62,7 @@ func TestDetectionFromTraceMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJSONL: %v", err)
 	}
-	got, err := DetectionFromTrace(events, days)
-	if err != nil {
-		t.Fatalf("DetectionFromTrace: %v", err)
-	}
+	got := DetectionFromTrace(events, days)
 	if !reflect.DeepEqual(got, serial.report) {
 		t.Errorf("trace-derived report diverged from ground truth\ntruth: %+v\ntrace: %+v",
 			serial.report, got)
@@ -81,13 +78,20 @@ func TestDetectionFromTraceMatchesGroundTruth(t *testing.T) {
 	}
 }
 
-func TestDetectionFromTraceRejectsNonLifecycleTrace(t *testing.T) {
-	if _, err := DetectionFromTrace(nil, 10); err == nil {
-		t.Fatal("expected error for empty trace")
+// TestDetectionFromTraceCountsDefectFreeTrace replays the trace of a fleet
+// with no defective core: the census is zero, and a quarantine (of a core
+// noise nominated) counts as a false positive.
+func TestDetectionFromTraceCountsDefectFreeTrace(t *testing.T) {
+	if got := DetectionFromTrace(nil, 10); !reflect.DeepEqual(got, DetectionReport{}) {
+		t.Fatalf("empty trace: %+v, want the zero report", got)
 	}
-	events := []obs.TraceEvent{{Event: obs.EventFirstSignal, Machine: "m00001", Core: 3}}
-	if _, err := DetectionFromTrace(events, 10); err == nil {
-		t.Fatal("expected error for trace without defect census")
+	events := []obs.TraceEvent{
+		{Event: obs.EventFirstSignal, Machine: "m00001", Core: 3},
+		{Day: 4, Event: obs.EventQuarantine, Machine: "m00001", Core: 3},
+	}
+	want := DetectionReport{Quarantined: 1, FalsePositive: 1}
+	if got := DetectionFromTrace(events, 10); !reflect.DeepEqual(got, want) {
+		t.Fatalf("defect-free trace: %+v, want %+v", got, want)
 	}
 }
 
@@ -137,10 +141,7 @@ func FuzzReadTrace(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(back, events) {
 			t.Fatalf("trace did not round-trip: err %v\nread    %+v\nreread  %+v", err, events, back)
 		}
-		rep, err := DetectionFromTrace(events, 30)
-		if err != nil {
-			return
-		}
+		rep := DetectionFromTrace(events, 30)
 		if rep.TruePositive+rep.FalsePositive != rep.Quarantined || len(rep.LatencyDays) != rep.TruePositive ||
 			rep.PastOnset > rep.TotalDefective {
 			t.Fatalf("inconsistent report %+v", rep)

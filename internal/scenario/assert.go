@@ -1,7 +1,7 @@
 package scenario
 
 // End-state assertions turn a scenario into a regression test: after the
-// run, named quantities derived from the daily telemetry, the detection
+// run, named quantities read from the metrics registry, the detection
 // report, the triage ledger, and the quarantine ledger are checked
 // against declared ranges, specific cores are required to be in (or out
 // of) quarantine, and metrics-registry series can be pinned too. Every
@@ -73,7 +73,7 @@ type MachineStateAssert struct {
 
 // Assertions is the decoded assert section.
 type Assertions struct {
-	// Quantities maps assertable-quantity names (see Quantities) to
+	// Quantities maps assertable-quantity names (see QuantityNames) to
 	// their declared ranges, in file order.
 	Quantities []QuantityAssert
 	// QuarantinedCores must appear in the final ledger.
@@ -97,23 +97,65 @@ func (a Assertions) Count() int {
 		len(a.NotQuarantinedCores) + len(a.Metrics) + len(a.MachineStates)
 }
 
-// quantities maps every assertable name to its extractor. The names are
-// the public assertion vocabulary, documented in DESIGN.md §10.
-var quantities = map[string]func(*Result) float64{
+// seriesRef selects registry series: every series of family name whose
+// labels include labels (nil selects the whole family).
+type seriesRef struct {
+	name   string
+	labels map[string]string
+}
+
+// toState selects lifecycle_transitions_total into state st.
+func toState(st lifecycle.State) seriesRef {
+	return seriesRef{"lifecycle_transitions_total", map[string]string{"to": st.String()}}
+}
+
+// aliases maps each quantity the run's telemetry already counts to the
+// registry series it reads, summed — the numbers fleetsim run -metrics
+// prints. The names are the public assertion vocabulary together with
+// quantities, documented in DESIGN.md §10.
+var aliases = map[string][]seriesRef{
 	// Ground truth and signal flow (summed over the run).
-	"corruptions":       func(r *Result) float64 { return float64(r.totals.Corruptions) },
-	"auto_reports":      func(r *Result) float64 { return float64(r.totals.AutoReports) },
-	"user_reports":      func(r *Result) float64 { return float64(r.totals.UserReports) },
-	"screen_detections": func(r *Result) float64 { return float64(r.totals.ScreenDetections) },
-	"quarantined":       func(r *Result) float64 { return float64(r.totals.NewQuarantines) },
-	"repairs":           func(r *Result) float64 { return float64(r.totals.RepairsDone) },
-	// End-of-run state.
-	"active_defects_end": func(r *Result) float64 {
-		if len(r.Days) == 0 {
-			return 0
-		}
-		return float64(r.Days[len(r.Days)-1].ActiveDefects)
+	"corruptions":       {{name: "fleet_corruptions_total"}},
+	"auto_reports":      {{name: "fleet_reports_auto_total"}},
+	"user_reports":      {{name: "fleet_reports_user_total"}},
+	"screen_detections": {{name: "fleet_screen_detections_total"}},
+	"quarantined":       {{name: "fleet_quarantines_total"}},
+	"repairs":           {{name: "fleet_repairs_total"}},
+	// End-of-run state: the gauge holds the last day's count.
+	"active_defects_end": {{name: "fleet_active_defects"}},
+	// Tolerant-kvdb workload; a read counts whatever its result.
+	"kv_reads":    {{name: "kvdb_reads_total"}},
+	"kv_retries":  {{name: "kvdb_read_retries_total"}},
+	"kv_repairs":  {{name: "kvdb_read_repairs_total"}},
+	"kv_degraded": {{name: "kvdb_degraded_serves_total"}},
+	"kv_errors":   {{name: "kvdb_read_errors_total"}},
+	// Checkpoint/retry workload. A granule counts once it commits, first
+	// time or after a retry. A task fails on a granule out of retries or
+	// on finding no core to run on, which fails no granule.
+	"tr_granules": {
+		{"taskrun_granules_total", map[string]string{"outcome": "committed"}},
+		{"taskrun_granules_total", map[string]string{"outcome": "recovered"}},
 	},
+	"tr_retries":    {{name: "taskrun_retries_total"}},
+	"tr_migrations": {{name: "taskrun_migrations_total"}},
+	"tr_restores":   {{name: "taskrun_checkpoint_restores_total"}},
+	"tr_signals":    {{name: "taskrun_signals_total"}},
+	"tr_failures":   {{name: "taskrun_tasks_failed_total"}},
+	// Machine-lifecycle ledger (zero unless fleet.lifecycle enables it).
+	// Reintroduced counts moves back toward service: repairs land in
+	// probation, releases and exonerations in healthy.
+	"life_cordoned":     {toState(lifecycle.Cordoned)},
+	"life_drained":      {toState(lifecycle.Drained)},
+	"life_removed":      {toState(lifecycle.Removed)},
+	"life_reintroduced": {toState(lifecycle.Probation), toState(lifecycle.Healthy)},
+	// The deferred-drain queue (zero without fleet.lifecycle.pools).
+	"life_deferred": {{name: "lifecycle_drains_deferred_total"}},
+	"life_admitted": {{name: "lifecycle_drains_admitted_total"}},
+}
+
+// quantities maps the assertable names that no registry series counts
+// to their extractors over the result's ledgers.
+var quantities = map[string]func(*Result) float64{
 	// Detection report (ground truth vs quarantine ledger).
 	"defective":         func(r *Result) float64 { return float64(r.Detection.TotalDefective) },
 	"past_onset":        func(r *Result) float64 { return float64(r.Detection.PastOnset) },
@@ -126,29 +168,8 @@ var quantities = map[string]func(*Result) float64{
 	"triage_confirmed":    func(r *Result) float64 { return float64(r.Triage.Confirmed) },
 	"false_accusations":   func(r *Result) float64 { return float64(r.Triage.FalseAccusations) },
 	"real_not_reproduced": func(r *Result) float64 { return float64(r.Triage.RealNotReproduced) },
-	// Tolerant-kvdb workload.
-	"kv_reads":    func(r *Result) float64 { return float64(r.totals.KVReads) },
-	"kv_retries":  func(r *Result) float64 { return float64(r.totals.KVRetries) },
-	"kv_repairs":  func(r *Result) float64 { return float64(r.totals.KVRepairs) },
-	"kv_degraded": func(r *Result) float64 { return float64(r.totals.KVDegraded) },
-	"kv_errors":   func(r *Result) float64 { return float64(r.totals.KVErrors) },
-	// Checkpoint/retry workload.
-	"tr_granules":   func(r *Result) float64 { return float64(r.totals.TRGranules) },
-	"tr_retries":    func(r *Result) float64 { return float64(r.totals.TRRetries) },
-	"tr_migrations": func(r *Result) float64 { return float64(r.totals.TRMigrations) },
-	"tr_restores":   func(r *Result) float64 { return float64(r.totals.TRRestores) },
-	"tr_signals":    func(r *Result) float64 { return float64(r.totals.TRSignals) },
-	"tr_failures":   func(r *Result) float64 { return float64(r.totals.TRFailures) },
-	// Machine-lifecycle control plane (zero unless fleet.lifecycle
-	// enables it).
-	"life_cordoned":     func(r *Result) float64 { return float64(r.totals.LifeCordoned) },
-	"life_drained":      func(r *Result) float64 { return float64(r.totals.LifeDrained) },
-	"life_removed":      func(r *Result) float64 { return float64(r.totals.LifeRemoved) },
-	"life_reintroduced": func(r *Result) float64 { return float64(r.totals.LifeReintroduced) },
-	// Pools, remediation policies, and the deferred-drain queue
-	// (fleet.LifeTotals; zero without fleet.lifecycle.pools / policy).
-	"life_deferred":       func(r *Result) float64 { return float64(r.LifeTotals.Deferred) },
-	"life_admitted":       func(r *Result) float64 { return float64(r.LifeTotals.Admitted) },
+	// Remediation policies and pool floors (fleet.LifeTotals; zero
+	// without fleet.lifecycle.pools / policy).
 	"life_retests":        func(r *Result) float64 { return float64(r.LifeTotals.Retests) },
 	"life_swaps":          func(r *Result) float64 { return float64(r.LifeTotals.Swaps) },
 	"pool_floor_breaches": func(r *Result) float64 { return float64(r.LifeTotals.FloorBreaches) },
@@ -161,9 +182,34 @@ var quantities = map[string]func(*Result) float64{
 	"notify_dropped":   func(r *Result) float64 { return float64(r.Chaos.NotifyDropped) },
 }
 
+// Quantity returns the named assertable quantity (see QuantityNames): an
+// alias sums its series in the run's metrics snapshot, the rest read the
+// result's ledgers. It panics on an unknown name.
+func (r *Result) Quantity(name string) float64 {
+	refs, ok := aliases[name]
+	if !ok {
+		return quantities[name](r)
+	}
+	var sum float64
+	for _, ref := range refs {
+		v, _ := metricValue(r.Snapshot, ref.name, ref.labels)
+		sum += v
+	}
+	return sum
+}
+
+func isQuantity(name string) bool {
+	_, alias := aliases[name]
+	_, ledger := quantities[name]
+	return alias || ledger
+}
+
 // QuantityNames returns the assertable quantity vocabulary, sorted.
 func QuantityNames() []string {
-	out := make([]string, 0, len(quantities))
+	out := make([]string, 0, len(aliases)+len(quantities))
+	for k := range aliases {
+		out = append(out, k)
+	}
 	for k := range quantities {
 		out = append(out, k)
 	}
@@ -192,7 +238,7 @@ func (a *Assertions) decodeScn(d *decoder, n *node, path, _ string) bool {
 		case "metrics":
 			d.decodeInto(child, reflect.ValueOf(&a.Metrics).Elem(), "assert.metrics", "assert.metrics")
 		default:
-			if _, known := quantities[key]; !known {
+			if !isQuantity(key) {
 				d.errf(m.keyLine(key), "unknown assertion %q (known: %s, quarantined_cores, not_quarantined_cores, machine_states, metrics)",
 					key, strings.Join(QuantityNames(), ", "))
 				continue
@@ -334,7 +380,7 @@ func (s *Scenario) Check(res *Result) []string {
 		fails = append(fails, fmt.Sprintf("%s:%d: %s", s.File, line, msg))
 	}
 	for _, q := range s.Assert.Quantities {
-		v := quantities[q.Name](res)
+		v := res.Quantity(q.Name)
 		if msg := q.Range.check(q.Name, v); msg != "" {
 			at(q.Range.Line, msg)
 		}

@@ -63,9 +63,6 @@ func (s *Scenario) Compile() (fleet.Config, error) {
 			cfg.Lifecycle.Pools = append(cfg.Lifecycle.Pools, p.PoolConfig)
 		}
 	}
-	if t := s.Workloads.TaskRun; t != nil {
-		cfg.TaskRun = t.TaskRunConfig
-	}
 	return cfg, nil
 }
 
@@ -76,7 +73,7 @@ type Options struct {
 	// never depend on it.
 	Parallelism int
 	// Metrics receives the run's telemetry; nil allocates a private
-	// registry (assertions over metrics still work either way).
+	// registry. Assertions read it, so it must start empty.
 	Metrics *obs.Registry
 	// Trace, when set, receives the CEE lifecycle stream.
 	Trace *obs.Trace
@@ -89,8 +86,6 @@ type Result struct {
 	Scenario string
 	// Days is the daily telemetry series.
 	Days []fleet.DayStats
-	// totals accumulates the countable DayStats fields over the run.
-	totals fleet.DayStats
 	// Detection compares the quarantine ledger against ground truth.
 	Detection metrics.DetectionReport
 	// Triage is the human-investigation ledger.
@@ -232,9 +227,6 @@ func (e *runEnv) checkWALReplay(f *fleet.Fleet) (lifecycle.RecoverInfo, error) {
 	return info, nil
 }
 
-// Totals returns the run's summed daily counters.
-func (r *Result) Totals() fleet.DayStats { return r.totals }
-
 // Run compiles and executes the scenario. Assertions are NOT evaluated
 // here — call Check on the result — so callers can inspect a failing
 // run's state.
@@ -281,9 +273,7 @@ func (s *Scenario) Run(opts Options) (*Result, error) {
 				return nil, fmt.Errorf("%s:%d: %s on day %d: %v", s.File, ev.Line, ev.Kind, day, err)
 			}
 		}
-		st := r.Step()
-		res.Days = append(res.Days, st)
-		addTotals(&res.totals, st)
+		res.Days = append(res.Days, r.Step())
 	}
 	env.finish(res)
 	res.Detection = metrics.Detection(f, s.Days)
@@ -410,32 +400,4 @@ func applyInject(f *fleet.Fleet, in *InjectDef) error {
 		d.StuckVal = uint(*in.StuckVal)
 	}
 	return f.InjectDefect(in.Machine, in.Core, d)
-}
-
-// addTotals folds one day's countable fields into the accumulator.
-func addTotals(acc *fleet.DayStats, st fleet.DayStats) {
-	acc.Corruptions += st.Corruptions
-	for i := range acc.ByOutcome {
-		acc.ByOutcome[i] += st.ByOutcome[i]
-	}
-	acc.AutoReports += st.AutoReports
-	acc.UserReports += st.UserReports
-	acc.ScreenDetections += st.ScreenDetections
-	acc.NewQuarantines += st.NewQuarantines
-	acc.RepairsDone += st.RepairsDone
-	acc.KVReads += st.KVReads
-	acc.KVRetries += st.KVRetries
-	acc.KVRepairs += st.KVRepairs
-	acc.KVDegraded += st.KVDegraded
-	acc.KVErrors += st.KVErrors
-	acc.TRGranules += st.TRGranules
-	acc.TRRetries += st.TRRetries
-	acc.TRMigrations += st.TRMigrations
-	acc.TRRestores += st.TRRestores
-	acc.TRSignals += st.TRSignals
-	acc.TRFailures += st.TRFailures
-	acc.LifeCordoned += st.LifeCordoned
-	acc.LifeDrained += st.LifeDrained
-	acc.LifeRemoved += st.LifeRemoved
-	acc.LifeReintroduced += st.LifeReintroduced
 }

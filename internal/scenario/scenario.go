@@ -9,9 +9,10 @@
 // bit-identical-at-any-parallelism determinism contract, because every
 // event applies in a serial phase between simulated days.
 //
-// A knob is one struct field tagged `scn:"key"`: the fleet, kvdb and
-// taskrun sections decode straight onto fleet.DefaultConfig(),
-// fleet.KVDBConfig and fleet.TaskRunConfig, whose fields carry the tags,
+// A knob is one struct field tagged `scn:"key"`: the fleet section and
+// the start_kv_load and start_taskrun events decode straight onto
+// fleet.DefaultConfig(), fleet.KVDBConfig and fleet.TaskRunConfig, whose
+// fields carry the tags,
 // and one reflective walker (decode.go) derives each section's key list,
 // unknown-key check and type errors from them.
 //
@@ -51,11 +52,10 @@ type Scenario struct {
 	// Seed overrides the fleet seed (nil keeps the default).
 	Seed *uint64 `scn:"seed"`
 	// Days is the simulated run length.
-	Days      int        `scn:"days"`
-	Fleet     FleetDef   `scn:"fleet"`
-	Workloads Workloads  `scn:"workloads"`
-	Events    []Event    `scn:"events,as=event"`
-	Assert    Assertions `scn:"assert"`
+	Days   int        `scn:"days"`
+	Fleet  FleetDef   `scn:"fleet"`
+	Events []Event    `scn:"events,as=event"`
+	Assert Assertions `scn:"assert"`
 }
 
 // FleetDef is the fleet section: fleet.Config's tagged knobs, decoded
@@ -114,17 +114,12 @@ type PoolDef struct {
 	Line int
 }
 
-// Workloads are the application phases active from day 0. Events
-// switch phases on at any day: start_taskrun, and start_kv_load, the
-// kvdb workload's only switch.
-type Workloads struct {
-	TaskRun *TaskRunDef `scn:"taskrun"`
-}
-
-// KVDef is the tolerant-kvdb workload section.
+// KVDef is start_kv_load's body, the tolerant-kvdb workload phase's one
+// switch (a day-0 event runs it from the start).
 type KVDef struct{ fleet.KVDBConfig }
 
-// TaskRunDef is the checkpoint/retry workload section.
+// TaskRunDef is start_taskrun's body, the checkpoint/retry workload
+// phase's one switch.
 type TaskRunDef struct{ fleet.TaskRunConfig }
 
 // Event kinds. Exactly one action is present per event.

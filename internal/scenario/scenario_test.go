@@ -129,11 +129,11 @@ fleet:
   confession:
     passes: 10
     max_ops: 1000000
-workloads:
-  taskrun:
-    tasks: 2
-    granules_per_task: 5
 events:
+  - day: 0
+    start_taskrun:
+      tasks: 2
+      granules_per_task: 5
   - day: 1
     inject_defect:
       machine: m00003
@@ -166,19 +166,19 @@ assert:
 		s.Fleet.Policy.DeclineRetryDays == nil || *s.Fleet.Policy.DeclineRetryDays != 5 {
 		t.Errorf("policy: %+v", s.Fleet.Policy)
 	}
-	if s.Workloads.TaskRun == nil || s.Workloads.TaskRun.Tasks != 2 || s.Workloads.TaskRun.GranulesPerTask != 5 {
-		t.Errorf("taskrun: %+v", s.Workloads.TaskRun)
-	}
-	if len(s.Events) != 2 {
+	if len(s.Events) != 3 {
 		t.Fatalf("events: %d", len(s.Events))
 	}
-	in := s.Events[0].Inject
+	if tr := s.Events[0].TaskRun; tr == nil || tr.Tasks != 2 || tr.GranulesPerTask != 5 {
+		t.Errorf("taskrun: %+v", tr)
+	}
+	in := s.Events[1].Inject
 	if in == nil || in.Machine != "m00003" || in.Core != 2 ||
 		in.PatternMask != 0xf0 || in.PatternVal != 0x50 ||
 		in.BitPos == nil || *in.BitPos != 13 || in.BaseRate != 2.5e-7 {
 		t.Errorf("inject: %+v", in)
 	}
-	pt := s.Events[1].Point
+	pt := s.Events[2].Point
 	if pt == nil || pt.VoltageV == nil || *pt.VoltageV != 0.9 || pt.FreqGHz != nil {
 		t.Errorf("point: %+v", pt)
 	}
@@ -189,7 +189,7 @@ assert:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Seed != 99 || cfg.Machines != 20 || cfg.RepairAfterDays != 7 || cfg.TaskRun.GranulesPerTask != 5 {
+	if cfg.Seed != 99 || cfg.Machines != 20 || cfg.RepairAfterDays != 7 {
 		t.Errorf("compiled: %+v", cfg)
 	}
 }

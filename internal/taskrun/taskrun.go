@@ -218,9 +218,6 @@ func (s *Supervisor) Stats() Stats { return s.stats }
 // Divergences returns how many divergences have been attributed to ref.
 func (s *Supervisor) Divergences(ref sched.CoreRef) int { return s.div[ref] }
 
-// SetMetrics (re)binds the obs registry the supervisor instruments into.
-func (s *Supervisor) SetMetrics(reg *obs.Registry) { s.cfg.Metrics = reg }
-
 // counter is a nil-safe registry accessor.
 func (s *Supervisor) counter(name string, labels ...obs.Label) *obs.Counter {
 	if s.cfg.Metrics == nil {
@@ -235,7 +232,12 @@ func (s *Supervisor) counter(name string, labels ...obs.Label) *obs.Counter {
 // committed output does not depend on which attempt succeeded.
 func (s *Supervisor) Run(t *Task, inputs *xrand.RNG) (TaskResult, error) {
 	var res TaskResult
-	defer func() { s.stats.add(res.Stats) }()
+	defer func() {
+		s.stats.add(res.Stats)
+		if res.Stats.TasksFailed > 0 {
+			s.counter("taskrun_tasks_failed_total").Inc()
+		}
+	}()
 	res.Stats.Tasks++
 	if t == nil || t.ID == "" {
 		res.Stats.TasksFailed++
