@@ -27,9 +27,15 @@ func (*Arith) Units() []fault.Unit {
 	return []fault.Unit{fault.UnitALU, fault.UnitMul, fault.UnitDiv}
 }
 
+var arithUnits = unitsOf(&Arith{})
+
 // Run implements Workload.
 func (w *Arith) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
+		if c := e.Core(); !c.AnyArmed(arithUnits) {
+			w.native(c, rng)
+			return ""
+		}
 		x := rng.Uint64() | 1
 		want := x
 		for i := 0; i < w.Steps; i++ {
@@ -69,6 +75,25 @@ func (w *Arith) Run(e *engine.Engine, rng *xrand.RNG) Result {
 		}
 		return ""
 	})
+}
+
+// native makes Run's draws and counts its ops on a core where none of
+// Arith's units is armed: every step is exact there, so only the op mix
+// needs simulating.
+func (w *Arith) native(c *fault.Core, rng *xrand.RNG) {
+	rng.Uint64()
+	var n [8]uint64 // steps by op, as Run's switch numbers them
+	for i := 0; i < w.Steps; i++ {
+		rng.Uint64()
+		n[rng.Intn(8)]++
+	}
+	c.OpCount[fault.OpAdd] += n[0]
+	c.OpCount[fault.OpSub] += n[1]
+	c.OpCount[fault.OpMul] += n[2]
+	c.OpCount[fault.OpDiv] += n[3]
+	c.OpCount[fault.OpLogic] += n[4] + n[5]
+	c.OpCount[fault.OpShift] += n[6] + n[7]
+	c.OpCount[fault.OpCmp] += uint64(max(w.Steps, 0)) // one interleaved compare per step
 }
 
 // Vec is the vector-unit workload: lane-wise adds, xors, and reductions
@@ -136,19 +161,35 @@ func (*Float) Name() string { return "float-ops" }
 // Units implements Workload.
 func (*Float) Units() []fault.Unit { return []fault.Unit{fault.UnitFPU} }
 
-// Run implements Workload.
+var floatUnits = unitsOf(&Float{})
+
+// Run implements Workload. Where the FPU is unarmed each op runs natively
+// and is counted in place; the draws and the compare stay, so a NaN fails
+// the run either way.
 func (w *Float) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
+		c := e.Core()
+		native := !c.AnyArmed(floatUnits)
 		x := 1.0
 		want := 1.0
 		for i := 0; i < w.Steps; i++ {
 			v := rng.NormFloat64()
 			if i%2 == 0 {
-				x = e.FAdd(x, v)
+				if native {
+					x += v
+					c.OpCount[fault.OpFAdd]++
+				} else {
+					x = e.FAdd(x, v)
+				}
 				want += v
 			} else {
 				m := 1 + v/1000 // keep magnitudes bounded
-				x = e.FMul(x, m)
+				if native {
+					x *= m
+					c.OpCount[fault.OpFMul]++
+				} else {
+					x = e.FMul(x, m)
+				}
 				want *= m
 			}
 			if x != want {

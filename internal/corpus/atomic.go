@@ -28,9 +28,21 @@ func (*Atomic) Name() string { return "atomic-torture" }
 // Units implements Workload.
 func (*Atomic) Units() []fault.Unit { return []fault.Unit{fault.UnitAtomic} }
 
+var atomicUnits = unitsOf(&Atomic{})
+
 // Run implements Workload.
 func (w *Atomic) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
+		if c := e.Core(); !c.AnyArmed(atomicUnits) {
+			// One FetchAdd per delta drawn, one CAS per ladder step and
+			// the failed CAS.
+			for i := 0; i < w.Ops; i++ {
+				rng.Uint64n(1 << 32)
+				c.OpCount[fault.OpAtomic] += 2
+			}
+			c.OpCount[fault.OpAtomic]++
+			return ""
+		}
 		var v uint64
 		var want uint64
 		for i := 0; i < w.Ops; i++ {

@@ -12,8 +12,8 @@ import (
 
 // Compress is the compression-library workload: an LZ77-style codec whose
 // match search, hashing, and data movement all route through the engine.
-// The self-check compresses on the core under test, compresses on a golden
-// core, and compares both the streams and the decompressed output — the
+// The self-check compresses on the core under test, compresses natively,
+// and compares both the streams and the decompressed output — the
 // "check the results against expected results" discipline of §1.
 type Compress struct {
 	// Bytes is the input size per run.
@@ -101,6 +101,64 @@ func LZCompress(e *engine.Engine, src []byte) []byte {
 	return out
 }
 
+// lzOps counts the engine ops of one LZ roundtrip by class.
+type lzOps struct{ mul, shift, cmp, copy uint64 }
+
+// lzEncode is LZCompress computed natively: the stream LZCompress returns
+// on a core that corrupts nothing, which is the golden stream, and the ops
+// LZCompress and then LZDecompress issue for it.
+func lzEncode(src []byte) ([]byte, lzOps) {
+	var out []byte
+	var ops lzOps
+	var table [1 << lzHashBits]int
+	for i := range table {
+		table[i] = -1
+	}
+	litStart := 0
+	flushLiterals := func(end int) {
+		for litStart < end {
+			n := min(end-litStart, lzMaxLit)
+			out = append(out, byte(n))
+			out = append(out, src[litStart:litStart+n]...)
+			ops.copy += 2 * uint64((n+7)/8) // one word op per 8 bytes, each way
+			litStart += n
+		}
+	}
+	i := 0
+	for i+lzMinMatch <= len(src) {
+		w := uint64(src[i]) | uint64(src[i+1])<<8 | uint64(src[i+2])<<16 | uint64(src[i+3])<<24
+		h := w * 2654435761 >> (64 - lzHashBits)
+		ops.mul++
+		ops.shift++
+		cand := table[h]
+		table[h] = i
+		if cand >= 0 && i-cand < lzWindow {
+			n := 0
+			max := min(len(src)-i, lzMaxMatch)
+			for n < max && src[cand+n] == src[i+n] {
+				n++
+			}
+			// One compare per matched byte, plus the mismatch that ended it.
+			ops.cmp += uint64(n)
+			if n < max {
+				ops.cmp++
+			}
+			if n >= lzMinMatch {
+				flushLiterals(i)
+				off := i - cand
+				out = append(out, byte(0x80|(n-lzMinMatch)), byte(off), byte(off>>8))
+				ops.copy += uint64(n) // decompressed byte by byte
+				i += n
+				litStart = i
+				continue
+			}
+		}
+		i++
+	}
+	flushLiterals(len(src))
+	return out, ops
+}
+
 // ErrCorrupt reports a malformed LZ stream.
 var ErrCorrupt = errors.New("corpus: corrupt LZ stream")
 
@@ -161,13 +219,22 @@ func compressible(rng *xrand.RNG, n int) []byte {
 	return out[:n]
 }
 
-// Run implements Workload.
+var compressUnits = unitsOf(&Compress{})
+
+// Run implements Workload. The golden stream comes from the native
+// encoder on every core.
 func (w *Compress) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
 		src := compressible(rng, w.Bytes)
+		goldenComp, ops := lzEncode(src)
+		if c := e.Core(); !c.AnyArmed(compressUnits) {
+			c.OpCount[fault.OpMul] += ops.mul
+			c.OpCount[fault.OpShift] += ops.shift
+			c.OpCount[fault.OpCmp] += ops.cmp
+			c.OpCount[fault.OpCopy] += ops.copy
+			return ""
+		}
 		comp := LZCompress(e, src)
-		golden := engine.New(fault.NewCore("golden", xrand.New(0)))
-		goldenComp := LZCompress(golden, src)
 		if !bytes.Equal(comp, goldenComp) {
 			return fmt.Sprintf("compressed stream differs from golden (%d vs %d bytes)",
 				len(comp), len(goldenComp))

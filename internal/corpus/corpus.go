@@ -8,6 +8,16 @@
 // may report a wrong answer, a trap, or — the dangerous case — silently
 // pass despite the defect (insufficient coverage, the paper's central
 // screening challenge).
+//
+// A workload pays for the engine only where a defect can fire. When none
+// of the units it issues ops on (its Units) is armed on the core
+// (fault.Core.AnyArmed), it runs natively: it makes the same input draws
+// in the same order and adds the exact per-class op counts the engine
+// loop would have issued, through the same run wrapper. Decide returns
+// nil for each of those ops without drawing a random number, so verdicts,
+// Result.Ops, counters, corruption events and RNG streams are identical
+// either way; the engine loop runs only on cores where one of its units is
+// armed.
 package corpus
 
 import (
@@ -90,6 +100,9 @@ func run(e *engine.Engine, name string, check func() string) Result {
 	}
 	return Result{Workload: name, Verdict: Pass, Ops: ops}
 }
+
+// unitsOf is the set of w's units, the gate of its native path.
+func unitsOf(w Workload) fault.UnitSet { return fault.SetOf(w.Units()...) }
 
 func runContained(check func() string) (detail string, crashed bool) {
 	defer func() {

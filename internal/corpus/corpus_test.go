@@ -89,6 +89,47 @@ func TestUnitsDeclared(t *testing.T) {
 	}
 }
 
+// paddedEngine returns an engine on a core with a zero-rate defect on
+// every unit: every workload takes its engine loop, yet no op ever draws
+// or fires.
+func paddedEngine(seed uint64) *engine.Engine {
+	var pads []fault.Defect
+	for u := fault.UnitALU; u <= fault.UnitAtomic; u++ {
+		pads = append(pads, fault.Defect{ID: "pad-" + u.String(), Unit: u})
+	}
+	return engine.New(fault.NewCore("h", xrand.New(seed), pads...))
+}
+
+// TestUnitsAreTheUnitsARunTouches holds Units to the units whose op
+// counters one run moves, natively on a healthy core and through the
+// engine loop on a padded one: the native gate and Report.UnitsCovered
+// both rely on it. The two runs must return the same result, count the
+// same ops and leave the input stream in the same place.
+func TestUnitsAreTheUnitsARunTouches(t *testing.T) {
+	for _, w := range All() {
+		h, p := healthyEngine(1), paddedEngine(1)
+		hr, pr := xrand.New(7), xrand.New(7)
+		if got, want := w.Run(h, hr), w.Run(p, pr); got != want {
+			t.Fatalf("%s: native %+v, engine loop %+v", w.Name(), got, want)
+		}
+		if h.Core().OpCount != p.Core().OpCount {
+			t.Fatalf("%s: native ops %v, engine loop %v", w.Name(), h.Core().OpCount, p.Core().OpCount)
+		}
+		if hr.Uint64() != pr.Uint64() {
+			t.Fatalf("%s: native and engine loop drew differently", w.Name())
+		}
+		var touched fault.UnitSet
+		for op, n := range h.Core().OpCount {
+			if n > 0 {
+				touched |= fault.SetOf(fault.UnitOf(fault.OpClass(op)))
+			}
+		}
+		if want := fault.SetOf(w.Units()...); touched != want {
+			t.Fatalf("%s: ops on units %08b, Units() %08b (%v)", w.Name(), touched, want, w.Units())
+		}
+	}
+}
+
 // detects runs the workload repeatedly on a defective engine and reports
 // whether any run detected the defect (wrong answer or trap).
 func detects(t *testing.T, w Workload, d fault.Defect, runs int) bool {

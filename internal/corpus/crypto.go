@@ -34,6 +34,10 @@ func (*CryptoRoundtrip) Units() []fault.Unit { return []fault.Unit{fault.UnitCry
 func (w *CryptoRoundtrip) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
 		key := rng.Uint64()
+		if c := e.Core(); !c.AnyArmed(cryptoUnits) {
+			cryptoNative(c, rng, w.Blocks)
+			return ""
+		}
 		for i := 0; i < w.Blocks; i++ {
 			x := rng.Uint64()
 			ct := e.CryptoEncrypt64(x, key)
@@ -43,6 +47,20 @@ func (w *CryptoRoundtrip) Run(e *engine.Engine, rng *xrand.RNG) Result {
 		}
 		return ""
 	})
+}
+
+// cryptoUnits gates both crypto workloads, which issue ops on the same
+// unit.
+var cryptoUnits = unitsOf(&CryptoRoundtrip{})
+
+// cryptoNative makes a crypto workload's block draws and counts its ops,
+// one encryption and one decryption per block, on a core whose crypto
+// unit is unarmed.
+func cryptoNative(c *fault.Core, rng *xrand.RNG, blocks int) {
+	for i := 0; i < blocks; i++ {
+		rng.Uint64()
+		c.OpCount[fault.OpCrypto] += 2
+	}
 }
 
 // CryptoKnownAnswer encrypts blocks and compares the ciphertext against the
@@ -67,6 +85,10 @@ func (*CryptoKnownAnswer) Units() []fault.Unit { return []fault.Unit{fault.UnitC
 func (w *CryptoKnownAnswer) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
 		key := rng.Uint64()
+		if c := e.Core(); !c.AnyArmed(cryptoUnits) {
+			cryptoNative(c, rng, w.Blocks)
+			return ""
+		}
 		for i := 0; i < w.Blocks; i++ {
 			x := rng.Uint64()
 			ct := e.CryptoEncrypt64(x, key)

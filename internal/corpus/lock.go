@@ -45,9 +45,16 @@ const (
 	stDone
 )
 
-// Run implements Workload.
+var lockUnits = unitsOf(&Lock{})
+
+// Run implements Workload. Where neither of Lock's units is armed, its
+// CAS and add run natively and are counted after the loop; the scheduler
+// draws are the same.
 func (w *Lock) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
+		c := e.Core()
+		native := !c.AnyArmed(lockUnits)
+		var cas, adds uint64 // native ops
 		var lock, counter uint64
 		type thread struct {
 			state int
@@ -65,7 +72,15 @@ func (w *Lock) Run(e *engine.Engine, rng *xrand.RNG) Result {
 			th := threads[rng.Intn(w.Threads)]
 			switch th.state {
 			case stTryLock:
-				if e.CAS(&lock, 0, 1) {
+				var acquired bool
+				if native {
+					cas++
+					acquired = lock == 0
+					lock = 1 // held after the CAS, whoever holds it
+				} else {
+					acquired = e.CAS(&lock, 0, 1)
+				}
+				if acquired {
 					// We believe we hold the lock. If the CAS was
 					// dropped by the defect, so can someone else.
 					inCritical++
@@ -79,7 +94,12 @@ func (w *Lock) Run(e *engine.Engine, rng *xrand.RNG) Result {
 				th.state = stWrite
 			case stWrite:
 				// Non-atomic read-modify-write: safe only under the lock.
-				counter = e.Add64(th.local, 1)
+				if native {
+					adds++
+					counter = th.local + 1
+				} else {
+					counter = e.Add64(th.local, 1)
+				}
 				th.state = stUnlock
 			case stUnlock:
 				inCritical--
@@ -95,6 +115,8 @@ func (w *Lock) Run(e *engine.Engine, rng *xrand.RNG) Result {
 				// Spurious wakeup of a finished thread; ignore.
 			}
 		}
+		c.OpCount[fault.OpAtomic] += cas
+		c.OpCount[fault.OpAdd] += adds
 		want := uint64(w.Threads * w.Increments)
 		if counter != want {
 			return fmt.Sprintf("lost updates: counter=%d want %d (exclusion violated: %v)",
@@ -135,11 +157,19 @@ func memPattern(seed, i uint64) uint64 {
 	return x ^ x>>32
 }
 
+var memUnits = unitsOf(&Mem{})
+
 // Run implements Workload.
 func (w *Mem) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
-		m := engine.NewMemory(w.Words)
 		seed := rng.Uint64()
+		if c := e.Core(); !c.AnyArmed(memUnits) {
+			// One store and one load per word.
+			c.OpCount[fault.OpStore] += uint64(w.Words)
+			c.OpCount[fault.OpLoad] += uint64(w.Words)
+			return ""
+		}
+		m := engine.NewMemory(w.Words)
 		for i := 0; i < w.Words; i++ {
 			e.Store(m, uint64(i), memPattern(seed, uint64(i)))
 		}

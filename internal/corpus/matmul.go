@@ -55,6 +55,8 @@ func mulGolden(a, b []uint64, n int) []uint64 {
 	return c
 }
 
+var matMulUnits = unitsOf(&MatMul{})
+
 // Run implements Workload.
 func (w *MatMul) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
@@ -64,6 +66,12 @@ func (w *MatMul) Run(e *engine.Engine, rng *xrand.RNG) Result {
 		for i := range a {
 			a[i] = rng.Uint64()
 			b[i] = rng.Uint64()
+		}
+		if c := e.Core(); !c.AnyArmed(matMulUnits) {
+			// One multiply and one add per inner-product term.
+			c.OpCount[fault.OpMul] += uint64(n * n * n)
+			c.OpCount[fault.OpAdd] += uint64(n * n * n)
+			return ""
 		}
 		got := MulMatrices(e, a, b, n)
 		want := mulGolden(a, b, n)
@@ -143,6 +151,68 @@ func insertion(e *engine.Engine, xs []uint64) {
 	}
 }
 
+// sortCompares sorts xs natively, exactly as SortSlice does, and returns
+// the number of compares SortSlice issues on it.
+func sortCompares(xs []uint64) uint64 {
+	if len(xs) < 16 {
+		return insertionCompares(xs)
+	}
+	mid := len(xs) / 2
+	hi := len(xs) - 1
+	if xs[mid] < xs[0] {
+		xs[mid], xs[0] = xs[0], xs[mid]
+	}
+	if xs[hi] < xs[0] {
+		xs[hi], xs[0] = xs[0], xs[hi]
+	}
+	if xs[hi] < xs[mid] {
+		xs[hi], xs[mid] = xs[mid], xs[hi]
+	}
+	n := uint64(3)
+	pivot := xs[mid]
+	i, j := 0, hi
+	for i <= j {
+		// Each scan issues one compare per step plus the one that stops it.
+		i0, j0 := i, j
+		for xs[i] < pivot {
+			i++
+		}
+		for pivot < xs[j] {
+			j--
+		}
+		n += uint64(i-i0) + uint64(j0-j) + 2
+		if i <= j {
+			xs[i], xs[j] = xs[j], xs[i]
+			i++
+			j--
+		}
+	}
+	return n + sortCompares(xs[:j+1]) + sortCompares(xs[i:])
+}
+
+// insertionCompares is insertion's native twin, as sortCompares is
+// SortSlice's.
+func insertionCompares(xs []uint64) uint64 {
+	var n uint64
+	for i := 1; i < len(xs); i++ {
+		v := xs[i]
+		j := i - 1
+		// One compare per shift, plus the failing one unless j ran out.
+		for j >= 0 && v < xs[j] {
+			xs[j+1] = xs[j]
+			j--
+			n++
+		}
+		if j >= 0 {
+			n++
+		}
+		xs[j+1] = v
+	}
+	return n
+}
+
+var sortUnits = unitsOf(&Sort{})
+
 // Run implements Workload.
 func (w *Sort) Run(e *engine.Engine, rng *xrand.RNG) Result {
 	return run(e, w.Name(), func() string {
@@ -152,6 +222,10 @@ func (w *Sort) Run(e *engine.Engine, rng *xrand.RNG) Result {
 			xs[i] = rng.Uint64()
 			xorAll ^= xs[i]
 			sumAll += xs[i]
+		}
+		if c := e.Core(); !c.AnyArmed(sortUnits) {
+			c.OpCount[fault.OpCmp] += sortCompares(xs)
+			return ""
 		}
 		SortSlice(e, xs)
 		for i := 1; i < len(xs); i++ {

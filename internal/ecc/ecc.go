@@ -8,12 +8,12 @@
 // computed natively for ground truth. The engine-routed form on a healthy
 // core always equals the Golden form; tests enforce this.
 //
-// CRC32C, CRC64 and FNV64a pay for the engine only where a defect can
-// fire: when none of the op classes they issue is armed on the engine's
-// core (fault.Core.Armed), they compute the Golden form and add the exact
-// per-class op counts the byte loop would have issued. Such ops draw no
-// random numbers and cannot corrupt, so results, counters, corruption
-// events and RNG streams are identical to the byte loop's.
+// CRC32C, CRC64, FNV64a and Fletcher64 pay for the engine only where a
+// defect can fire: when none of the op classes they issue is armed on the
+// engine's core (fault.Core.Armed), they compute the Golden form and add
+// the exact per-class op counts the byte loop would have issued. Such ops
+// draw no random numbers and cannot corrupt, so results, counters,
+// corruption events and RNG streams are identical to the byte loop's.
 package ecc
 
 import (
@@ -165,8 +165,12 @@ func FNV64aGolden(data []byte) uint64 {
 }
 
 // Fletcher64 computes a Fletcher-style checksum over 32-bit words (zero
-// padded) through the engine's adder.
+// padded) through the engine's adder: per word two OpAdd.
 func Fletcher64(e *engine.Engine, data []byte) uint64 {
+	if c := e.Core(); !c.Armed(fault.OpAdd) {
+		c.OpCount[fault.OpAdd] += 2 * uint64((len(data)+3)/4)
+		return Fletcher64Golden(data)
+	}
 	var s1, s2 uint64
 	const mod = 0xFFFFFFFF
 	for i := 0; i < len(data); i += 4 {

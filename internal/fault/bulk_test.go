@@ -191,6 +191,18 @@ func bulkOps() []bulkOp {
 				}
 				return wordBytes(^crc)
 			}},
+		{name: "Fletcher64", here: []fault.Unit{fault.UnitALU}, elsewhere: fault.UnitMul,
+			fast: func(e *engine.Engine, in []byte) []byte { return wordBytes(ecc.Fletcher64(e, in)) },
+			ref: func(e *engine.Engine, in []byte) []byte {
+				var s1, s2 uint64
+				for i := 0; i < len(in); i += 4 {
+					var w [4]byte
+					copy(w[:], in[i:])
+					s1 = e.Add64(s1, uint64(binary.LittleEndian.Uint32(w[:]))) % 0xFFFFFFFF
+					s2 = e.Add64(s2, s1) % 0xFFFFFFFF
+				}
+				return wordBytes(s2<<32 | s1)
+			}},
 		{name: "FNV64a", here: []fault.Unit{fault.UnitALU, fault.UnitMul}, elsewhere: fault.UnitVec,
 			fast: func(e *engine.Engine, in []byte) []byte { return wordBytes(ecc.FNV64a(e, in)) },
 			ref: func(e *engine.Engine, in []byte) []byte {

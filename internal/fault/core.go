@@ -40,6 +40,9 @@ type Core struct {
 	// pays for the defect loop only on armed ops; a healthy core has
 	// armed == 0.
 	armed uint16
+	// armedUnits holds the units some defect sits on: the units of the
+	// ops in armed.
+	armedUnits UnitSet
 
 	// OnCorrupt, if non-nil, observes every ground-truth corruption.
 	OnCorrupt func(CorruptionEvent)
@@ -72,6 +75,7 @@ func NewCore(id string, rng *xrand.RNG, defects ...Defect) *Core {
 		for i := range c.Defects {
 			if c.Defects[i].Unit == u {
 				c.armed |= 1 << op
+				c.armedUnits |= 1 << u
 			}
 		}
 	}
@@ -117,6 +121,28 @@ func (c *Core) Decide(op OpClass, a uint64) *Defect {
 // counts in one step: Decide would return nil for every one of them
 // without drawing a random number. Armed inlines like Decide.
 func (c *Core) Armed(op OpClass) bool { return c.armed>>op&1 != 0 }
+
+// UnitSet is a set of execution units: bit u holds Unit u.
+type UnitSet uint8
+
+// The set needs one bit per unit: this fails to compile once numUnits
+// outgrows it.
+const _ = UnitSet(1 << (numUnits - 1))
+
+// SetOf returns the set holding units.
+func SetOf(units ...Unit) UnitSet {
+	var s UnitSet
+	for _, u := range units {
+		s |= 1 << u
+	}
+	return s
+}
+
+// AnyArmed reports whether a defect sits on any unit in s. A workload
+// whose units are all unarmed may run natively and add its op counts
+// itself: Decide would return nil for every op it issues without drawing
+// a random number. AnyArmed inlines like Armed.
+func (c *Core) AnyArmed(s UnitSet) bool { return c.armedUnits&s != 0 }
 
 // decideDefective checks each defect against one armed operation, unit
 // and pattern first, and validates the rate cache only for a defect that

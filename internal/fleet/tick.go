@@ -129,8 +129,7 @@ func (f *Fleet) Step() DayStats {
 	online := &sc.online
 	online.BudgetOps = f.cfg.ScreenOpsPerCoreDay
 	online.Workloads = f.allWork[:size]
-	online.Metrics = f.obs
-	online.Bind(f.parallelism)
+	online.Bind(f.obs, f.parallelism)
 	sc.jobs = sc.jobs[:0]
 	for i, site := range f.defects {
 		m := f.siteMachines[i]

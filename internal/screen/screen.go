@@ -199,13 +199,9 @@ type Online struct {
 	BudgetOps uint64
 	// Workloads is the corpus to sample from; nil means corpus.All().
 	Workloads []corpus.Workload
-	// Metrics, when set, receives per-tick telemetry (lock-free; safe to
-	// share across worker goroutines). Nil records nothing.
-	Metrics *obs.Registry
 
-	// Sharded counter handles resolved by Bind. When unbound, ticks fall
-	// back to per-tick registry lookups (correct but slower: every tick
-	// takes the registry mutex and every worker contends on one cell).
+	// Sharded counter handles resolved by Bind; unbound ticks record
+	// nothing.
 	ticks, ops, detections *obs.ShardedCounter
 }
 
@@ -218,17 +214,18 @@ const (
 	onlineDetectionsName = "screen_online_detections_total"
 )
 
-// Bind resolves the per-tick counters once, sharded across `workers`
-// cells, so recording from worker w (TickOn) is a single uncontended
-// atomic add. Call from one goroutine before fanning ticks out; a nil
-// Metrics registry makes Bind a no-op.
-func (o *Online) Bind(workers int) {
-	if o.Metrics == nil {
+// Bind resolves the per-tick counters in reg once, sharded across
+// `workers` cells, so recording from worker w (TickOn) is a single
+// uncontended atomic add. Call from one goroutine before fanning ticks
+// out; a nil reg unbinds, and ticks then record nothing.
+func (o *Online) Bind(reg *obs.Registry, workers int) {
+	if reg == nil {
+		o.ticks, o.ops, o.detections = nil, nil, nil
 		return
 	}
-	o.ticks = o.Metrics.ShardedCounter(onlineTicksName, workers)
-	o.ops = o.Metrics.ShardedCounter(onlineOpsName, workers)
-	o.detections = o.Metrics.ShardedCounter(onlineDetectionsName, workers)
+	o.ticks = reg.ShardedCounter(onlineTicksName, workers)
+	o.ops = reg.ShardedCounter(onlineOpsName, workers)
+	o.detections = reg.ShardedCounter(onlineDetectionsName, workers)
 }
 
 // TickOn runs one online screening slice against core and returns the
@@ -255,17 +252,10 @@ func (o *Online) TickOn(core *fault.Core, rng *xrand.RNG, worker int) ([]corpus.
 		}
 	}
 	ops := core.TotalOps() - start
-	switch {
-	case o.ticks != nil:
+	if o.ticks != nil {
 		o.ticks.Shard(worker).Inc()
 		o.ops.Shard(worker).Add(float64(ops))
 		o.detections.Shard(worker).Add(float64(len(found)))
-	case o.Metrics != nil:
-		// Unbound path: look the sharded families up per tick so the
-		// series stay kind-consistent with the bound path.
-		o.Metrics.ShardedCounter(onlineTicksName, 1).Shard(worker).Inc()
-		o.Metrics.ShardedCounter(onlineOpsName, 1).Shard(worker).Add(float64(ops))
-		o.Metrics.ShardedCounter(onlineDetectionsName, 1).Shard(worker).Add(float64(len(found)))
 	}
 	return found, ops
 }

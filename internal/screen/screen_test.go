@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/xrand"
 )
@@ -253,6 +254,24 @@ func TestOnlineDefaultBudget(t *testing.T) {
 	_, ops := o.TickOn(core, xrand.New(25), 0)
 	if ops == 0 {
 		t.Fatal("zero-value Online did no work")
+	}
+}
+
+func TestOnlineBindRecordsTicks(t *testing.T) {
+	reg := obs.NewRegistry()
+	o := Online{BudgetOps: 50_000}
+	o.Bind(reg, 2)
+	_, ops := o.TickOn(fault.NewCore("h", xrand.New(26)), xrand.New(27), 1)
+	if got := reg.ShardedCounter(onlineTicksName, 2).Value(); got != 1 {
+		t.Fatalf("ticks = %v, want 1", got)
+	}
+	if got := reg.ShardedCounter(onlineOpsName, 2).Value(); got != float64(ops) {
+		t.Fatalf("ops = %v, want %d", got, ops)
+	}
+	o.Bind(nil, 2)
+	o.TickOn(fault.NewCore("h", xrand.New(26)), xrand.New(27), 1)
+	if got := reg.ShardedCounter(onlineTicksName, 2).Value(); got != 1 {
+		t.Fatalf("unbound tick recorded: ticks = %v", got)
 	}
 }
 

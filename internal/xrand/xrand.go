@@ -10,7 +10,10 @@
 // stream without cross-coupling.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** generator. The zero value is not valid; use New.
 type RNG struct {
@@ -117,7 +120,10 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Uint64n returns a uniform uint64 in [0, n) using Lemire's method with a
-// rejection step to remove modulo bias. It panics if n == 0.
+// rejection step to remove modulo bias. It panics if n == 0. The
+// threshold -n % n is below n, so a low product word of at least n is
+// accepted without computing it: the division is paid only on the rare
+// draw that might be rejected.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with zero n")
@@ -126,28 +132,14 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += aLo * bHi
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return
+	return hi
 }
 
 // Float64 returns a uniform float64 in [0, 1).

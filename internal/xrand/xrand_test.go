@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -347,20 +348,31 @@ func TestBytesDeterministic(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+// TestUint64nMatchesEagerThreshold holds Uint64n to the form that computes
+// Lemire's threshold before every draw: the same accept decisions, so the
+// same values and the same number of draws.
+func TestUint64nMatchesEagerThreshold(t *testing.T) {
+	eager := func(r *RNG, n uint64) uint64 {
+		if n&(n-1) == 0 {
+			return r.Uint64() & (n - 1)
+		}
+		threshold := -n % n
+		for {
+			hi, lo := bits.Mul64(r.Uint64(), n)
+			if lo >= threshold {
+				return hi
+			}
+		}
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+	for _, n := range []uint64{3, 6, 7, 10, 1000, 1<<63 + 1} {
+		a, b := New(n), New(n)
+		for i := 0; i < 10_000; i++ {
+			if got, want := a.Uint64n(n), eager(b, n); got != want {
+				t.Fatalf("n=%d draw %d: got %d want %d", n, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: streams diverged after 10k draws", n)
 		}
 	}
 }
