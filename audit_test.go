@@ -31,12 +31,8 @@ import (
 var keptUnreferenced = map[string]string{
 	"internal/check.CheckedMatMul":              "§3/§9 result-checker library (DESIGN.md §3); covered by its check tests",
 	"internal/check.CheckedSearch":              "§3/§9 result-checker library (DESIGN.md §3); covered by its check tests",
-	"internal/cpu.CPU.Halted":                   "machine state the cpu tests read to see a program reach HLT",
 	"internal/cpu.FaultCoverage":                "§4 coverage residue behind README's 98% adder claim; TestFaultCoverageSubstantialButIncomplete",
-	"internal/detect.ShardedTracker.Reports":    "mirrors Tracker.Reports for the sharded-vs-single equivalence tests",
 	"internal/ecc.Mix64Golden":                  "native reference the ecc and selfcheck tests compare the engine-routed Mix64 against",
-	"internal/forensics.ModeDB.Count":           "§9 defect-mode API (DESIGN.md §3 forensics row); TestModeDBNovelty reads it back",
-	"internal/forensics.ModeDB.Known":           "§9 defect-mode API (DESIGN.md §3 forensics row); TestModeDBNovelty reads it back",
 	"internal/isa.Disassemble":                  "assembler round-trip half; FuzzAssemble and the isa tests use it",
 	"internal/isa.Mnemonics":                    "assembler round-trip half; FuzzAssemble and the isa tests use it",
 	"internal/kvdb.DB.GetCompared":              "E10 replica-dependent index incident (internal/incidents) and the kvdb replica tests use it",
@@ -50,12 +46,7 @@ var keptUnreferenced = map[string]string{
 	"internal/lifecycle.WAL.Seq":                "the pool tests read it to prove an idempotent verb appends no record",
 	"internal/mitigate.Executor.TMRWithReplay":  "§7 replay-TMR sketch cited by EXPERIMENTS.md E9 and DESIGN.md §3; four replayexec tests",
 	"internal/obs.ReadJSONL":                    "reader half of the trace format; metrics.TestDetectionFromTraceMatchesGroundTruth parses traces with it",
-	"internal/replay.Replayer.Position":         "tape introspection the replay tests check positions and labels with",
-	"internal/replay.Replayer.Remaining":        "tape introspection the replay tests check positions and labels with",
-	"internal/replay.Tape.Label":                "tape introspection the replay tests check positions and labels with",
-	"internal/replay.Tape.Len":                  "tape introspection the replay tests check positions and labels with",
 	"internal/report.Client.Report":             "§6's one-report call; the report tests drive the single-report route and the client retry policy through it",
-	"internal/report.Server.Lifecycle":          "attached ledger the report pool tests read back",
 	"internal/sched.Cluster.Machine":            "cluster introspection the sched, quarantine and lifecycle tests assert with",
 	"internal/sched.Cluster.PlacedTasks":        "cluster introspection the sched, quarantine and lifecycle tests assert with",
 	"internal/sched.Cluster.TaskOn":             "cluster introspection the sched, quarantine and lifecycle tests assert with",

@@ -42,6 +42,14 @@ assert:
 		{"run traced with no defective core", []string{"run", "-trace", filepath.Join(traced, "pool.jsonl"),
 			"../../scenarios/pool-drain-budget.yaml"}, 0, "trace self-check: detection report derived from trace matches ground truth\n"},
 		{"run with an unmet assertion", []string{"run", unmet}, 1, ""},
+		// Every assertable quantity is a series -metrics prints: a run-long
+		// counter, an end-of-run report and a chaos harness tally.
+		{"run -metrics lists life_retests", []string{"run", "-metrics", "-", "../../scenarios/remediation-escalating.yaml"}, 0,
+			"\nlifecycle_retests_total 2\n"},
+		{"run -metrics lists true_positive", []string{"run", "-metrics", "-", "../../scenarios/remediation-escalating.yaml"}, 0,
+			"\ndetection_true_positives 0\n"},
+		{"run -metrics lists notify_delivered", []string{"run", "-metrics", "-", "../../scenarios/chaos-network-notify.yaml"}, 0,
+			"\nnotify_delivered 7\n"},
 		{"validate the corpus", append([]string{"validate"}, glob(t, "../../scenarios/*.yaml")...), 0, "ok\t"},
 		{"validate counts every assertion kind", []string{"validate",
 			"../../scenarios/chaos-network-notify.yaml", "../../scenarios/chaos-wal-faults.yaml",

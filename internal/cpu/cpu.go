@@ -44,9 +44,6 @@ func New(program []uint32, memWords int) (*CPU, error) {
 	return c, nil
 }
 
-// Halted reports whether the program executed HALT.
-func (c *CPU) Halted() bool { return c.halted }
-
 // Step executes one instruction. It returns an error for traps.
 func (c *CPU) Step() error {
 	if c.halted {

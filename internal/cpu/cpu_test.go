@@ -168,7 +168,7 @@ func TestRunSumProgram(t *testing.T) {
 	if got != 5050 {
 		t.Fatalf("sum = %d", got)
 	}
-	if c.Cycles == 0 || !c.Halted() {
+	if c.Cycles == 0 || !c.halted {
 		t.Fatal("cycle accounting or halt wrong")
 	}
 }

@@ -103,14 +103,6 @@ func (s *ShardedTracker) ForgetCore(machine string, core int) {
 	sh.mu.Unlock()
 }
 
-// Reports returns the total core-attributed signal count for a machine.
-func (s *ShardedTracker) Reports(machine string) int {
-	sh := s.shardFor(machine)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.t.Reports(machine)
-}
-
 // ReportingMachines returns the lifetime census of distinct reporting
 // machines across every shard.
 func (s *ShardedTracker) ReportingMachines() int {

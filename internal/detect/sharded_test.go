@@ -48,7 +48,7 @@ func TestShardedEquivalence(t *testing.T) {
 		}
 		for i := 0; i < 64; i++ {
 			m := fmt.Sprintf("m%05d", i)
-			if got, want := sharded.Reports(m), plain.Reports(m); got != want {
+			if got, want := sharded.shardFor(m).t.Reports(m), plain.Reports(m); got != want {
 				t.Fatalf("shards=%d: Reports(%s) %d, want %d", shards, m, got, want)
 			}
 		}

@@ -23,15 +23,33 @@ import (
 // OperatingPoint returns the fleet-wide operating point.
 func (f *Fleet) OperatingPoint() fault.OperatingPoint { return f.point }
 
-// lookupMachine resolves a dense machine id ("m00017") with validation —
-// unlike the hot-path machineByID, malformed or out-of-range ids return
-// an error instead of corrupting the index arithmetic.
-func (f *Fleet) lookupMachine(id string) (*Machine, error) {
+// MachineID is the id of the i-th machine ("m00017"), the one format
+// newFleet names machines with.
+func MachineID(i int) string { return fmt.Sprintf("m%05d", i) }
+
+// ParseMachineID returns the index of a machine id. Only an id MachineID
+// produces is accepted: "m1" and "m+1" are not other spellings of
+// m00001, because ledgers and defect sites compare ids as strings.
+func ParseMachineID(id string) (int, error) {
 	if len(id) < 2 || id[0] != 'm' {
-		return nil, fmt.Errorf("fleet: machine id %q must look like m00017", id)
+		return 0, fmt.Errorf("machine id %q must look like m00017", id)
 	}
 	n, err := strconv.Atoi(id[1:])
-	if err != nil || n < 0 || n >= len(f.machines) {
+	if err != nil || n < 0 || MachineID(n) != id {
+		return 0, fmt.Errorf("machine id %q must look like m00017", id)
+	}
+	return n, nil
+}
+
+// lookupMachine resolves a machine id with validation — unlike the
+// hot-path machineByID, malformed or out-of-range ids return an error
+// instead of corrupting the index arithmetic.
+func (f *Fleet) lookupMachine(id string) (*Machine, error) {
+	n, err := ParseMachineID(id)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %v", err)
+	}
+	if n >= len(f.machines) {
 		return nil, fmt.Errorf("fleet: no machine %q (fleet has %d)", id, len(f.machines))
 	}
 	return f.machines[n], nil

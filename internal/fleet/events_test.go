@@ -33,8 +33,12 @@ func hotDefect(bit uint) fault.Defect {
 
 func TestInjectDefectValidation(t *testing.T) {
 	f := newFleet(eventTestConfig(), nil)
-	if err := f.InjectDefect("nope", 0, hotDefect(1)); err == nil {
-		t.Error("bad machine id accepted")
+	// A machine id is accepted only in the form the fleet names machines
+	// with; m1 is not m00001, and m+1 must not reach the index arithmetic.
+	for _, id := range []string{"nope", "m1", "m+1", "m-1", "m000001"} {
+		if err := f.InjectDefect(id, 0, hotDefect(1)); err == nil {
+			t.Errorf("bad machine id %q accepted", id)
+		}
 	}
 	if err := f.InjectDefect("m00099", 0, hotDefect(1)); err == nil {
 		t.Error("out-of-range machine accepted")

@@ -312,25 +312,6 @@ type DayStats struct {
 	LifeCordoned, LifeDrained, LifeRemoved, LifeReintroduced int
 }
 
-// LifeTotals is the cumulative pool/remediation accounting of a run. It
-// lives outside DayStats deliberately: the kvdb seed golden fingerprints
-// the printed DayStats stream, so that struct's shape is frozen.
-type LifeTotals struct {
-	// Deferred counts drains parked because applying them would have
-	// breached a pool's capacity floor; Admitted counts parked drains the
-	// ledger admitted as capacity returned.
-	Deferred, Admitted int
-	// Retests and Swaps count the non-default remediation policies'
-	// decisions (escalating retest-in-place; swap-from-spares).
-	Retests, Swaps int
-	// FloorBreaches counts pool×day observations below the serving floor
-	// — the invariant the deferred-drain queue exists to hold at zero.
-	FloorBreaches int
-	// WALErrorDays counts days the lifecycle WAL ended unhealthy (appends
-	// failing) — nonzero only under injected faults.
-	WALErrorDays int
-}
-
 // TriageStats tracks the human-triage ledger for experiment E5. The paper
 // reports that "roughly half of these human-identified suspects are
 // actually proven ... to be mercurial cores — we must extract confessions
@@ -432,7 +413,6 @@ type Fleet struct {
 	poolTickets  map[string]int
 	lifeAdmitted []string
 	lifeNotify   remediate.Notifier
-	lifeTotals   LifeTotals
 }
 
 // newFleet builds the fleet population deterministically from cfg, which
@@ -478,7 +458,7 @@ func newFleet(cfg Config, reg *obs.Registry) *Fleet {
 	}
 	defectID := 0
 	for i := 0; i < cfg.Machines; i++ {
-		id := fmt.Sprintf("m%05d", i)
+		id := MachineID(i)
 		sku := pickSKU(skus, fracTotal, popRNG)
 		sm, err := f.cluster.AddMachine(id, cfg.CoresPerMachine)
 		if err != nil {

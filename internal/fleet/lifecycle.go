@@ -57,7 +57,6 @@ type LifecycleConfig struct {
 // lifeCounters buffers one day's ledger transitions for DayStats.
 type lifeCounters struct {
 	cordoned, drained, removed, reintroduced int
-	deferred, admitted, retests, swaps       int
 }
 
 // buildLifecycle constructs the manager in newFleet when the config enables it.
@@ -126,10 +125,8 @@ func (f *Fleet) lifeObserve(t lifecycle.Transition) {
 	case lifecycle.KindDefer:
 		// A bookkeeping record, not a state transition: the To field names
 		// the parked verb, so it must not fall into the counter switch.
-		f.lifePending.deferred++
 	case lifecycle.KindUndefer:
 		if t.Reason == "admitted" {
-			f.lifePending.admitted++
 			// The ledger has already applied the parked verb; the cluster
 			// side completes in lifeEndOfDay, in admission order.
 			f.lifeAdmitted = append(f.lifeAdmitted, t.Machine)
@@ -210,8 +207,9 @@ func (f *Fleet) lifeCoreRepaired(machine string, day int) {
 // lifeEndOfDay releases machines whose probation window expired cleanly
 // (sorted order — the map must never leak iteration order into the
 // ledger), completes the cluster side of drains the ledger admitted off
-// the deferred queue today, and flushes the day's transition counters
-// into st.
+// the deferred queue today, counts the day's pool-floor breaches and WAL
+// health in the registry, and flushes the day's transition counters into
+// st.
 func (f *Fleet) lifeEndOfDay(day int, st *DayStats) {
 	if f.life == nil {
 		return
@@ -236,26 +234,18 @@ func (f *Fleet) lifeEndOfDay(day int, st *DayStats) {
 	f.completeAdmitted(day)
 	for _, ps := range f.life.Pools() {
 		if ps.Serving < ps.Floor {
-			f.lifeTotals.FloorBreaches++
+			f.obs.Counter("lifecycle_pool_floor_breaches_total").Inc()
 		}
 	}
 	if f.life.WALHealth() != nil {
-		f.lifeTotals.WALErrorDays++
+		f.obs.Counter("lifecycle_wal_error_days_total").Inc()
 	}
 	st.LifeCordoned = f.lifePending.cordoned
 	st.LifeDrained = f.lifePending.drained
 	st.LifeRemoved = f.lifePending.removed
 	st.LifeReintroduced = f.lifePending.reintroduced
-	f.lifeTotals.Deferred += f.lifePending.deferred
-	f.lifeTotals.Admitted += f.lifePending.admitted
-	f.lifeTotals.Retests += f.lifePending.retests
-	f.lifeTotals.Swaps += f.lifePending.swaps
 	f.lifePending = lifeCounters{}
 }
-
-// LifeTotals returns the run's cumulative pool/remediation accounting
-// (all zero under the default configuration).
-func (f *Fleet) LifeTotals() LifeTotals { return f.lifeTotals }
 
 // completeAdmitted applies the cluster side of drains (and cordons) the
 // ledger admitted off the deferred queue today, in admission order. The
@@ -349,7 +339,7 @@ func (f *Fleet) remediateGate(machine string, score float64, day int) (proceed, 
 	switch act.Kind {
 	case remediate.ActRetest:
 		f.retests[machine]++
-		f.lifePending.retests++
+		f.obs.Counter("lifecycle_retests_total").Inc()
 		return false, false
 	case remediate.ActNone:
 		return false, false

@@ -10,18 +10,36 @@ import (
 	"testing"
 
 	"repro/internal/lifecycle"
+	"repro/internal/obs"
 )
+
+// lifeTotals is a run's pool/remediation accounting, read from the
+// registry counters the fleet and the ledger keep.
+type lifeTotals struct {
+	deferred, admitted, retests, swaps, floorBreaches float64
+}
+
+func lifeTotalsOf(reg *obs.Registry) lifeTotals {
+	return lifeTotals{
+		deferred:      reg.Counter("lifecycle_drains_deferred_total").Value(),
+		admitted:      reg.Counter("lifecycle_drains_admitted_total").Value(),
+		retests:       reg.Counter("lifecycle_retests_total").Value(),
+		swaps:         reg.Counter("lifecycle_swaps_total").Value(),
+		floorBreaches: reg.Counter("lifecycle_pool_floor_breaches_total").Value(),
+	}
+}
 
 // runOutcome captures everything the remediation layer can influence.
 type runOutcome struct {
 	series []DayStats
 	ledger []lifecycle.Record
-	totals LifeTotals
+	totals lifeTotals
 }
 
 func runWith(t *testing.T, cfg Config, parallelism int, days int) runOutcome {
 	t.Helper()
-	r, err := NewRunner(cfg, WithParallelism(parallelism))
+	reg := obs.NewRegistry()
+	r, err := NewRunner(cfg, WithParallelism(parallelism), WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
@@ -29,7 +47,7 @@ func runWith(t *testing.T, cfg Config, parallelism int, days int) runOutcome {
 	return runOutcome{
 		series: series,
 		ledger: r.Fleet().Lifecycle().List(),
-		totals: r.Fleet().LifeTotals(),
+		totals: lifeTotalsOf(reg),
 	}
 }
 
@@ -70,7 +88,7 @@ func TestDefaultPolicyBitIdentical(t *testing.T) {
 				c.name, want.ledger, got.ledger)
 		}
 	}
-	if want.totals != (LifeTotals{}) {
+	if want.totals != (lifeTotals{}) {
 		t.Fatalf("default policy without pools produced remediation totals %+v, want zero", want.totals)
 	}
 }
@@ -91,8 +109,8 @@ func TestEscalatingPolicySpendsRetests(t *testing.T) {
 	}
 	// The first conviction of any machine must have burned its full retest
 	// budget before the drain went through.
-	if out.totals.Retests < 2 {
-		t.Fatalf("retests = %d with %d drains; escalation never engaged", out.totals.Retests, drained)
+	if out.totals.retests < 2 {
+		t.Fatalf("retests = %v with %d drains; escalation never engaged", out.totals.retests, drained)
 	}
 	// Purity check: the same configuration at parallelism 4 lands on the
 	// identical ledger.
@@ -107,10 +125,10 @@ func TestEscalatingPolicySpendsRetests(t *testing.T) {
 
 // poolFloorNeverBreached asserts the tentpole invariant on a finished
 // fleet: every pool's serving population sits at or above its floor.
-func poolFloorNeverBreached(t *testing.T, f *Fleet) {
+func poolFloorNeverBreached(t *testing.T, f *Fleet, totals lifeTotals) {
 	t.Helper()
-	if n := f.LifeTotals().FloorBreaches; n != 0 {
-		t.Fatalf("observed %d pool×day floor breaches, want 0", n)
+	if n := totals.floorBreaches; n != 0 {
+		t.Fatalf("observed %v pool×day floor breaches, want 0", n)
 	}
 	for _, p := range f.Lifecycle().Pools() {
 		if p.Serving < p.Floor {
@@ -132,27 +150,29 @@ func TestPoolFloorHoldsUnderConvictions(t *testing.T) {
 	cfg.Lifecycle.Pools = []lifecycle.PoolConfig{
 		{Name: "prod", MinHealthy: 0.97},
 	}
-	r, err := NewRunner(cfg, WithParallelism(1))
+	reg := obs.NewRegistry()
+	r, err := NewRunner(cfg, WithParallelism(1), WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Run(150)
 	f := r.Fleet()
-	totals := f.LifeTotals()
-	if totals.Deferred == 0 {
+	totals := lifeTotalsOf(reg)
+	if totals.deferred == 0 {
 		t.Fatalf("single-slot floor in a defect-dense pool deferred nothing: %+v", totals)
 	}
-	if totals.Admitted == 0 {
+	if totals.admitted == 0 {
 		t.Fatalf("no deferred drain was ever admitted: %+v", totals)
 	}
-	poolFloorNeverBreached(t, f)
+	poolFloorNeverBreached(t, f, totals)
 	// The same run at parallelism 4 must agree on every pool decision.
-	r4, err := NewRunner(cfg, WithParallelism(4))
+	reg4 := obs.NewRegistry()
+	r4, err := NewRunner(cfg, WithParallelism(4), WithMetrics(reg4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r4.Run(150)
-	if got := r4.Fleet().LifeTotals(); got != totals {
+	if got := lifeTotalsOf(reg4); got != totals {
 		t.Fatalf("pool totals diverged: serial %+v par %+v", totals, got)
 	}
 	if !reflect.DeepEqual(f.Lifecycle().List(), r4.Fleet().Lifecycle().List()) {
@@ -171,7 +191,7 @@ func TestSwapPolicySpendsSpares(t *testing.T) {
 	cfg.Lifecycle.Pools = []lifecycle.PoolConfig{{Name: "prod"}}
 	cfg.Remediate = RemediateConfig{Policy: "swap", RepairTicketsPerPool: 1}
 	out := runWith(t, cfg, 1, 120)
-	if out.totals.Swaps == 0 {
+	if out.totals.swaps == 0 {
 		t.Fatalf("swap policy never swapped: %+v", out.totals)
 	}
 	par := runWith(t, cfg, 4, 120)

@@ -535,7 +535,7 @@ func (f *Fleet) processSuspects(now simtime.Time, dayRNG *xrand.RNG, st *DayStat
 				// Swap policy: replace the silicon from spares the same day
 				// instead of holding capacity through repair turnaround.
 				f.replaceSilicon(s.Machine, f.day-1, st)
-				f.lifePending.swaps++
+				f.obs.Counter("lifecycle_swaps_total").Inc()
 			} else if !permanent {
 				f.scheduleRepair(s.Machine, -1, f.day-1)
 			}
@@ -675,7 +675,7 @@ func (f *Fleet) retireDefect(machine string, core int) {
 	}
 }
 
-// machineByID is O(1) via index arithmetic: IDs are dense ("m%05d").
+// machineByID is O(1) via index arithmetic: IDs are dense (MachineID).
 func (f *Fleet) machineByID(id string) *Machine {
 	// Parse the numeric suffix without fmt.Sscanf for speed.
 	n := 0

@@ -87,9 +87,8 @@ func Classify(rep screen.Report) (Mode, bool) {
 // ModeDB tracks the defect modes a fleet has confirmed so far. Safe for
 // concurrent use.
 type ModeDB struct {
-	mu    sync.Mutex
-	seen  map[string]int
-	order []string
+	mu   sync.Mutex
+	seen map[string]int
 }
 
 // NewModeDB returns an empty mode database.
@@ -105,22 +104,7 @@ func (db *ModeDB) Observe(m Mode) (novel bool) {
 	k := m.Key()
 	if db.seen[k] == 0 {
 		novel = true
-		db.order = append(db.order, k)
 	}
 	db.seen[k]++
 	return novel
-}
-
-// Count returns how many times a mode has been observed.
-func (db *ModeDB) Count(m Mode) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.seen[m.Key()]
-}
-
-// Known returns all observed mode keys in first-seen order.
-func (db *ModeDB) Known() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return append([]string(nil), db.order...)
 }

@@ -65,13 +65,6 @@ type Tape struct {
 	entries []entry
 }
 
-// Len returns the number of recorded inputs.
-func (t *Tape) Len() int { return len(t.entries) }
-
-// Label returns the name of the computation the tape was recorded from
-// (the granule name), "" if the recorder was unlabeled.
-func (t *Tape) Label() string { return t.label }
-
 // Source is the input boundary a replicable computation reads through.
 // Recorder and Replayer both implement it.
 type Source interface {
@@ -147,13 +140,6 @@ type Replayer struct {
 
 // NewReplayer returns a replayer positioned at the start of the tape.
 func NewReplayer(t *Tape) *Replayer { return &Replayer{tape: t} }
-
-// Remaining returns the number of unconsumed entries.
-func (p *Replayer) Remaining() int { return len(p.tape.entries) - p.pos }
-
-// Position returns the index of the next entry to be consumed — on a
-// divergence error, how far into the granule the replica got.
-func (p *Replayer) Position() int { return p.pos }
 
 // where renders the tape's granule label for error messages.
 func (p *Replayer) where() string {

@@ -36,8 +36,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		fs = append(fs, f)
 	}
 	tape := rec.Tape()
-	if tape.Len() != 60 {
-		t.Fatalf("tape length %d", tape.Len())
+	if len(tape.entries) != 60 {
+		t.Fatalf("tape length %d", len(tape.entries))
 	}
 
 	p := NewReplayer(tape)
@@ -55,8 +55,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 			t.Fatalf("bool %d mismatch", i)
 		}
 	}
-	if p.Remaining() != 0 {
-		t.Fatalf("remaining = %d", p.Remaining())
+	if p.pos != len(tape.entries) {
+		t.Fatalf("remaining = %d", len(tape.entries)-p.pos)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestTapeSnapshotIsolation(t *testing.T) {
 	rec.U64()
 	tape := rec.Tape()
 	rec.U64() // recorded after the snapshot
-	if tape.Len() != 1 {
-		t.Fatalf("snapshot grew: %d", tape.Len())
+	if len(tape.entries) != 1 {
+		t.Fatalf("snapshot grew: %d", len(tape.entries))
 	}
 }
 
@@ -132,7 +132,7 @@ func TestReplayExhaustedCarriesLabelAndPosition(t *testing.T) {
 	rec.U64()
 	rec.U64()
 	tape := rec.Tape()
-	if got := tape.Label(); got != "granule-7" {
+	if got := tape.label; got != "granule-7" {
 		t.Fatalf("tape label = %q", got)
 	}
 	p := NewReplayer(tape)
@@ -148,8 +148,8 @@ func TestReplayExhaustedCarriesLabelAndPosition(t *testing.T) {
 	if !strings.Contains(err.Error(), "position 2") {
 		t.Fatalf("error %q does not carry the position", err)
 	}
-	if p.Position() != 2 {
-		t.Fatalf("Position() = %d, want 2", p.Position())
+	if p.pos != 2 {
+		t.Fatalf("position = %d, want 2", p.pos)
 	}
 }
 
@@ -166,8 +166,8 @@ func TestReplayKindMismatchCarriesLabelAndPosition(t *testing.T) {
 			t.Fatalf("error %q missing %q", err, want)
 		}
 	}
-	if p.Position() != 0 {
-		t.Fatalf("Position() = %d, want 0 (mismatch does not consume)", p.Position())
+	if p.pos != 0 {
+		t.Fatalf("position = %d, want 0 (mismatch does not consume)", p.pos)
 	}
 }
 

@@ -51,9 +51,6 @@ type PoolsJSON struct {
 // the /v1/machines admin API. Call before Handler.
 func (s *Server) SetLifecycle(m *lifecycle.Manager) { s.life = m }
 
-// Lifecycle returns the attached manager, or nil.
-func (s *Server) Lifecycle() *lifecycle.Manager { return s.life }
-
 func machineJSON(r lifecycle.Record) MachineJSON {
 	return MachineJSON{
 		Machine:      r.Machine,

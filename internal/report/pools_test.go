@@ -97,7 +97,7 @@ func TestPoolsEndpoint(t *testing.T) {
 func TestMachinesPoolFilter(t *testing.T) {
 	srv, c, _ := newPoolService(t)
 	ctx := context.Background()
-	if err := srv.Lifecycle().AssignPool("m9", "db"); err != nil {
+	if err := srv.life.AssignPool("m9", "db"); err != nil {
 		t.Fatal(err)
 	}
 

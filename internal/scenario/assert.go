@@ -1,18 +1,20 @@
 package scenario
 
 // End-state assertions turn a scenario into a regression test: after the
-// run, named quantities read from the metrics registry, the detection
-// report, the triage ledger, and the quarantine ledger are checked
+// run, named quantities read from the metrics registry are checked
 // against declared ranges, specific cores are required to be in (or out
-// of) quarantine, and metrics-registry series can be pinned too. Every
-// failure message carries the file:line of the assertion that failed.
+// of) the final quarantine ledger, and metrics-registry series can be
+// pinned too. Every failure message carries the file:line of the
+// assertion that failed.
 
 import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/fleet"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 )
@@ -109,10 +111,9 @@ func toState(st lifecycle.State) seriesRef {
 	return seriesRef{"lifecycle_transitions_total", map[string]string{"to": st.String()}}
 }
 
-// aliases maps each quantity the run's telemetry already counts to the
-// registry series it reads, summed — the numbers fleetsim run -metrics
-// prints. The names are the public assertion vocabulary together with
-// quantities, documented in DESIGN.md §10.
+// aliases maps each assertable quantity to the registry series it reads,
+// summed — the numbers fleetsim run -metrics prints. The names are the
+// public assertion vocabulary, documented in DESIGN.md §10.
 var aliases = map[string][]seriesRef{
 	// Ground truth and signal flow (summed over the run).
 	"corruptions":       {{name: "fleet_corruptions_total"}},
@@ -123,6 +124,18 @@ var aliases = map[string][]seriesRef{
 	"repairs":           {{name: "fleet_repairs_total"}},
 	// End-of-run state: the gauge holds the last day's count.
 	"active_defects_end": {{name: "fleet_active_defects"}},
+	// Detection report (ground truth vs quarantine ledger) and human-
+	// triage ledger, published as gauges at end of run.
+	"defective":           {{name: "detection_defective_cores"}},
+	"past_onset":          {{name: "detection_past_onset_cores"}},
+	"true_positive":       {{name: "detection_true_positives"}},
+	"false_positive":      {{name: "detection_false_positives"}},
+	"detected_fraction":   {{name: "detection_detected_fraction"}},
+	"mean_latency_days":   {{name: "detection_mean_latency_days"}},
+	"investigated":        {{name: "triage_investigated"}},
+	"triage_confirmed":    {{name: "triage_confirmed"}},
+	"false_accusations":   {{name: "triage_false_accusations"}},
+	"real_not_reproduced": {{name: "triage_real_not_reproduced"}},
 	// Tolerant-kvdb workload; a read counts whatever its result.
 	"kv_reads":    {{name: "kvdb_reads_total"}},
 	"kv_retries":  {{name: "kvdb_read_retries_total"}},
@@ -151,44 +164,29 @@ var aliases = map[string][]seriesRef{
 	// The deferred-drain queue (zero without fleet.lifecycle.pools).
 	"life_deferred": {{name: "lifecycle_drains_deferred_total"}},
 	"life_admitted": {{name: "lifecycle_drains_admitted_total"}},
+	// Remediation policies, pool floors and WAL health (zero without a
+	// fleet.lifecycle policy, pools or WAL faults): pool×days below the
+	// serving floor, days the WAL ended unhealthy.
+	"life_retests":        {{name: "lifecycle_retests_total"}},
+	"life_swaps":          {{name: "lifecycle_swaps_total"}},
+	"pool_floor_breaches": {{name: "lifecycle_pool_floor_breaches_total"}},
+	"wal_error_days":      {{name: "lifecycle_wal_error_days_total"}},
+	// Chaos harness tallies, published at end of run (zero unless the
+	// scenario arms faults or a webhook notifier).
+	"wal_faults":       {{name: "chaos_wal_faults"}},
+	"net_faults":       {{name: "chaos_net_faults"}},
+	"notify_delivered": {{name: "notify_delivered"}},
+	"notify_failed":    {{name: "notify_failed"}},
+	"notify_dropped":   {{name: "notify_dropped"}},
 }
 
-// quantities maps the assertable names that no registry series counts
-// to their extractors over the result's ledgers.
-var quantities = map[string]func(*Result) float64{
-	// Detection report (ground truth vs quarantine ledger).
-	"defective":         func(r *Result) float64 { return float64(r.Detection.TotalDefective) },
-	"past_onset":        func(r *Result) float64 { return float64(r.Detection.PastOnset) },
-	"true_positive":     func(r *Result) float64 { return float64(r.Detection.TruePositive) },
-	"false_positive":    func(r *Result) float64 { return float64(r.Detection.FalsePositive) },
-	"detected_fraction": func(r *Result) float64 { return r.Detection.DetectedFraction() },
-	"mean_latency_days": func(r *Result) float64 { return r.Detection.MeanLatencyDays() },
-	// Human-triage ledger.
-	"investigated":        func(r *Result) float64 { return float64(r.Triage.Investigated) },
-	"triage_confirmed":    func(r *Result) float64 { return float64(r.Triage.Confirmed) },
-	"false_accusations":   func(r *Result) float64 { return float64(r.Triage.FalseAccusations) },
-	"real_not_reproduced": func(r *Result) float64 { return float64(r.Triage.RealNotReproduced) },
-	// Remediation policies and pool floors (fleet.LifeTotals; zero
-	// without fleet.lifecycle.pools / policy).
-	"life_retests":        func(r *Result) float64 { return float64(r.LifeTotals.Retests) },
-	"life_swaps":          func(r *Result) float64 { return float64(r.LifeTotals.Swaps) },
-	"pool_floor_breaches": func(r *Result) float64 { return float64(r.LifeTotals.FloorBreaches) },
-	"wal_error_days":      func(r *Result) float64 { return float64(r.LifeTotals.WALErrorDays) },
-	// Chaos harness counters (zero unless the scenario arms faults).
-	"wal_faults":       func(r *Result) float64 { return float64(r.Chaos.WALFaults) },
-	"net_faults":       func(r *Result) float64 { return float64(r.Chaos.NetFaults) },
-	"notify_delivered": func(r *Result) float64 { return float64(r.Chaos.NotifyDelivered) },
-	"notify_failed":    func(r *Result) float64 { return float64(r.Chaos.NotifyFailed) },
-	"notify_dropped":   func(r *Result) float64 { return float64(r.Chaos.NotifyDropped) },
-}
-
-// Quantity returns the named assertable quantity (see QuantityNames): an
-// alias sums its series in the run's metrics snapshot, the rest read the
-// result's ledgers. It panics on an unknown name.
+// Quantity returns the named assertable quantity (see QuantityNames): the
+// sum of its series in the run's metrics snapshot. It panics on an
+// unknown name.
 func (r *Result) Quantity(name string) float64 {
 	refs, ok := aliases[name]
 	if !ok {
-		return quantities[name](r)
+		panic("scenario: unknown quantity " + name)
 	}
 	var sum float64
 	for _, ref := range refs {
@@ -198,19 +196,10 @@ func (r *Result) Quantity(name string) float64 {
 	return sum
 }
 
-func isQuantity(name string) bool {
-	_, alias := aliases[name]
-	_, ledger := quantities[name]
-	return alias || ledger
-}
-
 // QuantityNames returns the assertable quantity vocabulary, sorted.
 func QuantityNames() []string {
-	out := make([]string, 0, len(aliases)+len(quantities))
+	out := make([]string, 0, len(aliases))
 	for k := range aliases {
-		out = append(out, k)
-	}
-	for k := range quantities {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -238,7 +227,7 @@ func (a *Assertions) decodeScn(d *decoder, n *node, path, _ string) bool {
 		case "metrics":
 			d.decodeInto(child, reflect.ValueOf(&a.Metrics).Elem(), "assert.metrics", "assert.metrics")
 		default:
-			if !isQuantity(key) {
+			if _, ok := aliases[key]; !ok {
 				d.errf(m.keyLine(key), "unknown assertion %q (known: %s, quarantined_cores, not_quarantined_cores, machine_states, metrics)",
 					key, strings.Join(QuantityNames(), ", "))
 				continue
@@ -305,11 +294,11 @@ func parseCoreRef(s string) (CoreAssert, error) {
 		return CoreAssert{}, fmt.Errorf("core ref %q must look like m00017/3", s)
 	}
 	machine, coreStr := s[:slash], s[slash+1:]
-	if _, err := parseMachineID(machine); err != nil {
+	if _, err := fleet.ParseMachineID(machine); err != nil {
 		return CoreAssert{}, err
 	}
-	var core int
-	if _, err := fmt.Sscanf(coreStr, "%d", &core); err != nil || core < 0 {
+	core, err := strconv.Atoi(coreStr)
+	if err != nil || core < 0 {
 		return CoreAssert{}, fmt.Errorf("core ref %q must look like m00017/3", s)
 	}
 	return CoreAssert{Machine: machine, Core: core}, nil
@@ -326,7 +315,7 @@ func (d *decoder) machineStates(n *node) []MachineStateAssert {
 	for _, id := range n.keys {
 		v := n.children[id]
 		line := n.keyLine(id)
-		if _, err := parseMachineID(id); err != nil {
+		if _, err := fleet.ParseMachineID(id); err != nil {
 			d.errf(line, "assert.machine_states: %v", err)
 			continue
 		}

@@ -88,39 +88,19 @@ type Result struct {
 	Days []fleet.DayStats
 	// Detection compares the quarantine ledger against ground truth.
 	Detection metrics.DetectionReport
-	// Triage is the human-investigation ledger.
-	Triage fleet.TriageStats
 	// Records is the final quarantine ledger, in isolation order.
 	Records []*quarantine.Record
 	// Lifecycle is the final machine-lifecycle ledger, sorted by machine
 	// (nil when the control plane is disabled).
 	Lifecycle []lifecycle.Record
-	// Snapshot is the metrics registry at end of run, sorted.
+	// Snapshot is the metrics registry at end of run, sorted; it holds
+	// every assertable quantity (see Quantity).
 	Snapshot []obs.SeriesSnapshot
-	// LifeTotals is the run's cumulative pools/remediation counters
-	// (zero-valued when the control plane is off).
-	LifeTotals fleet.LifeTotals
-	// Chaos summarizes injected infrastructure faults and notification
-	// delivery.
-	Chaos ChaosStats
 	// WALReplay describes the end-of-run replay-equality check (zero when
 	// the scenario does not persist a WAL).
 	WALReplay lifecycle.RecoverInfo
 	// Fleet is the underlying simulator, for further inspection.
 	Fleet *fleet.Fleet
-}
-
-// ChaosStats counts what the chaos harness did to the run.
-type ChaosStats struct {
-	// WALFaults is how many injected filesystem faults fired under the
-	// lifecycle WAL.
-	WALFaults int
-	// NetFaults is how many injected transport faults fired under the
-	// webhook notifier.
-	NetFaults int
-	// NotifyDelivered / NotifyFailed / NotifyDropped are the webhook
-	// notifier's delivery ledger (zero for notify: log).
-	NotifyDelivered, NotifyFailed, NotifyDropped int
 }
 
 // runEnv holds the chaos handles a running scenario arms through
@@ -181,23 +161,36 @@ func (e *runEnv) build(lc *LifecycleDef, cfg *fleet.Config) (cleanup func(), err
 	return cleanup, nil
 }
 
-// finish drains the notifier and collects the chaos counters. Called
-// after the last Step, before assertions read the result.
-func (e *runEnv) finish(res *Result) {
+// publish records the run's end-of-run reports in reg as gauges, so
+// every assertable quantity is a registry series: the detection report,
+// the triage ledger, and — once the notifier has drained — what the chaos
+// harness injected and the webhook delivered. Called after the last Step.
+func (e *runEnv) publish(reg *obs.Registry, det metrics.DetectionReport, tr fleet.TriageStats) {
+	set := func(name string, v int) { reg.Gauge(name).Set(float64(v)) }
+	set("detection_defective_cores", det.TotalDefective)
+	set("detection_past_onset_cores", det.PastOnset)
+	set("detection_true_positives", det.TruePositive)
+	set("detection_false_positives", det.FalsePositive)
+	reg.Gauge("detection_detected_fraction").Set(det.DetectedFraction())
+	reg.Gauge("detection_mean_latency_days").Set(det.MeanLatencyDays())
+	set("triage_investigated", tr.Investigated)
+	set("triage_confirmed", tr.Confirmed)
+	set("triage_false_accusations", tr.FalseAccusations)
+	set("triage_real_not_reproduced", tr.RealNotReproduced)
 	if e.async != nil {
 		e.async.Close()
-		res.Chaos.NotifyDropped = e.async.Dropped()
+		set("notify_dropped", e.async.Dropped())
 	}
 	if e.webhook != nil {
-		res.Chaos.NotifyDelivered = e.webhook.Delivered()
-		res.Chaos.NotifyFailed = e.webhook.Failed()
+		set("notify_delivered", e.webhook.Delivered())
+		set("notify_failed", e.webhook.Failed())
 	}
 	if e.fs != nil {
-		res.Chaos.WALFaults = e.fs.Injected()
+		set("chaos_wal_faults", e.fs.Injected())
 	}
 	if e.transport != nil {
-		for _, n := range e.transport.Fired() {
-			res.Chaos.NetFaults += n
+		for k, n := range e.transport.Fired() {
+			reg.Gauge("chaos_net_faults", obs.L("fault", k.String())).Set(float64(n))
 		}
 	}
 }
@@ -275,15 +268,13 @@ func (s *Scenario) Run(opts Options) (*Result, error) {
 		}
 		res.Days = append(res.Days, r.Step())
 	}
-	env.finish(res)
 	res.Detection = metrics.Detection(f, s.Days)
-	res.Triage = f.Triage
+	env.publish(reg, res.Detection, f.Triage)
 	res.Records = f.Manager().Records()
 	if lm := f.Lifecycle(); lm != nil {
 		res.Lifecycle = lm.List()
 	}
 	res.Snapshot = reg.Snapshot()
-	res.LifeTotals = f.LifeTotals()
 	res.Fleet = f
 	info, err := env.checkWALReplay(f)
 	if err != nil {

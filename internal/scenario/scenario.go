@@ -24,12 +24,10 @@
 package scenario
 
 import (
-	"fmt"
 	"os"
 	"reflect"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/chaos"
@@ -290,11 +288,27 @@ func (s *Scenario) validate(d *decoder, m *node, _ string) {
 		}
 	}
 	for _, ms := range s.Assert.MachineStates {
-		if idx, err := parseMachineID(ms.Machine); err == nil &&
-			s.Fleet.Machines > 0 && idx >= s.Fleet.Machines {
-			d.errf(ms.Line, "assert.machine_states: machine %q outside the fleet (machines: %d)",
-				ms.Machine, s.Fleet.Machines)
+		s.checkInFleet(d, ms.Line, "assert.machine_states", ms.Machine)
+	}
+	s.checkCoreRefs(d, "assert.quarantined_cores", s.Assert.QuarantinedCores)
+	s.checkCoreRefs(d, "assert.not_quarantined_cores", s.Assert.NotQuarantinedCores)
+}
+
+// checkCoreRefs range-checks core refs against the fleet's shape.
+func (s *Scenario) checkCoreRefs(d *decoder, what string, refs []CoreAssert) {
+	for _, ca := range refs {
+		s.checkInFleet(d, ca.Line, what, ca.Machine)
+		if cores := s.Fleet.CoresPerMachine; cores > 0 && ca.Core >= cores {
+			d.errf(ca.Line, "%s: core %d out of range [0, %d)", what, ca.Core, cores)
 		}
+	}
+}
+
+// checkInFleet reports a well-formed machine id the fleet does not have;
+// the decoder has already reported a malformed one.
+func (s *Scenario) checkInFleet(d *decoder, line int, what, id string) {
+	if idx, err := fleet.ParseMachineID(id); err == nil && s.Fleet.Machines > 0 && idx >= s.Fleet.Machines {
+		d.errf(line, "%s: machine %q outside the fleet (machines: %d)", what, id, s.Fleet.Machines)
 	}
 }
 
@@ -450,24 +464,12 @@ func (nf *NetFaultDef) validate(d *decoder, m *node, _ string) {
 	d.positive(m, EvInjectNetFault, "count", nf.Count)
 }
 
-// parseMachineID extracts the index from a dense machine id ("m00017").
-func parseMachineID(id string) (int, error) {
-	if len(id) < 2 || id[0] != 'm' {
-		return 0, fmt.Errorf("machine id %q must look like m00017", id)
-	}
-	n, err := strconv.Atoi(id[1:])
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("machine id %q must look like m00017", id)
-	}
-	return n, nil
-}
-
 func (d *decoder) checkMachine(m *node, id string) {
 	if id == "" {
 		d.errf(m.line, "machine is required")
 		return
 	}
-	idx, err := parseMachineID(id)
+	idx, err := fleet.ParseMachineID(id)
 	if err != nil {
 		d.errf(m.keyLine("machine"), "%v", err)
 		return
